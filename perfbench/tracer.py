@@ -19,7 +19,6 @@ import json
 import sys
 import time
 from collections import Counter, defaultdict
-from contextlib import contextmanager
 
 TARGETS = {
     "modlin": ("rank", "rref", "kernel_basis", "det", "interpolate", "poly_roots", "poly_gcd"),
@@ -156,18 +155,6 @@ class Tracer:
             for attr, value in list(vars(mod).items()):
                 if id(value) in wrappers:
                     setattr(mod, attr, wrappers[id(value)])
-
-    @contextmanager
-    def span(self, name: str):
-        """An inclusive span around a block."""
-        rec = [self._name_index(name), time.perf_counter(), 0.0, self.stack[-1] if self.stack else -1]
-        self.stack.append(len(self.spans))
-        self.spans.append(rec)
-        try:
-            yield
-        finally:
-            rec[2] = time.perf_counter()
-            self.stack.pop()
 
     def summary(self) -> dict:
         """Calls, self time and inclusive time per span name, plus counters."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import random
-import resource
 import sys
 import time
 from pathlib import Path
@@ -37,6 +36,8 @@ MEASURE_GROUPS_PER_SIZE = 2
 SEARCH_P = 101
 SEARCH_DEGREES = (4, 5)
 SEARCH_MAX_TARGET_DEGREE = 18
+# realize seeds 0..7 of every target, the same in every run: which seeds a
+# run draws moves its time by up to a quarter (README, "Workloads").
 SEARCH_SEEDS_PER_TARGET = 8
 CLI_CURVES = (("c4.txt", MEASURE_P, 4), ("c6.txt", MEASURE_P, 6), ("c101.txt", SEARCH_P, 4))
 
@@ -64,18 +65,7 @@ def setup_corpus(seed: int) -> dict:
 
 def ops_corpus(inputs: dict, tracer):
     for name, fn in inputs["checks"].items():
-        if tracer is None:
-            yield name, fn
-        else:
-            yield name, _inclusive(tracer, f"verify.{name}", fn)
-
-
-def _inclusive(tracer, name, fn):
-    def call():
-        with tracer.span(name):
-            return fn()
-
-    return call
+        yield name, fn if tracer is None else tracer.wrap(f"verify.{name}", fn)
 
 
 def output_corpus(result) -> dict:
@@ -120,6 +110,7 @@ def output_measure(result) -> dict:
 
 
 def setup_search(seed: int) -> dict:
+    """The jobs do not depend on ``seed``, like the corpus's checks."""
     from charseq.verify import corpus_curve
 
     curves = {d: corpus_curve(SEARCH_P, d) for d in SEARCH_DEGREES}
@@ -127,7 +118,7 @@ def setup_search(seed: int) -> dict:
     for k in range(SEARCH_SEEDS_PER_TARGET):
         for d in SEARCH_DEGREES:
             for i, target in enumerate(checks.admissible_targets(d, SEARCH_MAX_TARGET_DEGREE)):
-                jobs.append((curves[d], target, _mix(seed, k, d, i)))
+                jobs.append((curves[d], target, _mix(k, d, i)))
     return {"jobs": jobs}
 
 
@@ -186,7 +177,7 @@ def main(argv: list[str]) -> int:
     if workload == "cli":
         setup_cli(seed, extra[0])
         _ready()
-        return _finish(tracer, trace_path, {"ops": []})
+        return 0 if mode == "setup" else _finish(tracer, trace_path, {"ops": []})
     setup, ops, output = WORKLOADS[workload]
     inputs = setup(seed)
     _ready()
@@ -210,7 +201,6 @@ def main(argv: list[str]) -> int:
 
 
 def _finish(tracer, trace_path, payload: dict) -> int:
-    payload["rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if tracer is not None:
         payload["trace"] = tracer.summary()
         tracer.write(trace_path)

@@ -40,7 +40,6 @@ from .liaison import (
     split_on_gap,
 )
 from .pointlab import (
-    DEFAULT_MODULUS,
     PlaneCurve,
     PointGroup,
     ProjPoint,

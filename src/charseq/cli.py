@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import verify as verify_mod
@@ -31,7 +30,6 @@ from .liaison import (
 from .linsys import classify_equal_phi, classify_maximal, r_alpha
 from .macaulay import is_zero_sequence, macaulay_next, macaulay_rep
 from .pointlab import (
-    DEFAULT_MODULUS,
     dim_linear_system,
     load_curve,
     load_points,
@@ -72,7 +70,10 @@ def _seq(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(v) for v in text.split(","))
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise UsageError(f"sequences are comma-separated integers, got {text!r}") from None
 
 
 def _join(entries) -> str:
@@ -91,11 +92,12 @@ def _emit(payload: dict, fmt: str) -> None:
         print(f"{key.ljust(width)}  {value}")
 
 
-def _modulus(args) -> int:
-    env = os.environ.get("CHARSEQ_MODULUS")
-    if env is not None:
-        return int(env)
-    return args.modulus
+def _abs_payload(seq: CharSeq) -> dict:
+    return {"entries": _join(seq.entries), "cone_dim": seq.cone_dim, "codim": seq.codim}
+
+
+def _rel_payload(rel: RelCharSeq) -> dict:
+    return {"rel": _join(rel.entries), "ambient": _join(rel.ambient.entries)}
 
 
 def _charseq_from_args(args, attr="seq") -> CharSeq:
@@ -139,8 +141,8 @@ def _run_macaulay(args) -> dict:
 
 def _run_charseq(args) -> dict:
     if args.phi is not None:
-        seq = charseq_from_phi(HilbertFn(_seq(args.phi), args.cone_dim), codim=args.codim)
-        return {"entries": _join(seq.entries), "cone_dim": seq.cone_dim, "codim": seq.codim}
+        fn = HilbertFn(_seq(args.phi), args.cone_dim)
+        return _abs_payload(charseq_from_phi(fn, codim=args.codim))
     if args.aligned_bound is not None:
         if args.d is None:
             raise UsageError("--aligned-bound needs --d")
@@ -165,8 +167,7 @@ def _run_charseq(args) -> dict:
 
 
 def _run_ci(args) -> dict:
-    seq = ci_charseq(_seq(args.degrees), cone_dim=args.cone_dim)
-    return {"entries": _join(seq.entries), "cone_dim": seq.cone_dim, "codim": seq.codim}
+    return _abs_payload(ci_charseq(_seq(args.degrees), cone_dim=args.cone_dim))
 
 
 def _run_rcs(args) -> dict:
@@ -179,8 +180,7 @@ def _run_rcs(args) -> dict:
     if args.rel is not None and args.ambient is not None:
         rel = _rel_from_args(args)
         if args.to_abs:
-            out = abs_from_rel(rel)
-            return {"entries": _join(out.entries), "cone_dim": out.cone_dim, "codim": out.codim}
+            return _abs_payload(abs_from_rel(rel))
         if args.degree:
             return {"degree": rel_degree(rel)}
         if args.eval is not None:
@@ -189,25 +189,22 @@ def _run_rcs(args) -> dict:
     if args.abs_seq is not None and args.ambient is not None:
         ambient = CharSeq(_seq(args.ambient), args.cone_dim, args.codim if args.codim else 1)
         abs_y = CharSeq(_seq(args.abs_seq), args.cone_dim - 1, _default_codim(_seq(args.abs_seq)))
-        rel = rel_from_abs(ambient, abs_y)
-        return {"rel": _join(rel.entries), "ambient": _join(ambient.entries)}
+        return _rel_payload(rel_from_abs(ambient, abs_y))
     if args.points is None:
         raise UsageError("rcs needs point input (--points) or sequence flags")
-    curve = load_curve(args.curve, irreducible=True) if args.curve else None
+    curve = load_curve(args.curve) if args.curve else None
     group = load_points(args.points, curve)
     if args.abs:
-        seq = measure_abs(group)
-        return {"entries": _join(seq.entries), "cone_dim": seq.cone_dim, "codim": seq.codim}
+        return _abs_payload(measure_abs(group))
     if args.eval is not None:
         return {"phi": phi_points(group, args.eval)}
     if curve is None:
         raise UsageError("measuring a relative sequence needs --curve")
-    rel = measure_rcs(curve, group, max_scan=args.max_degree_scan)
-    return {"rel": _join(rel.entries), "ambient": _join(rel.ambient.entries)}
+    return _rel_payload(measure_rcs(curve, group, max_scan=args.max_degree_scan))
 
 
 def _run_rcs_random(args) -> dict:
-    curve = load_curve(args.curve, irreducible=True)
+    curve = load_curve(args.curve)
     group = random_points_on_curve(curve, args.random, seed=args.seed)
     if args.out:
         save_points(args.out, group)
@@ -215,7 +212,7 @@ def _run_rcs_random(args) -> dict:
 
 
 def _run_rcs_section(args) -> dict:
-    curve = load_curve(args.curve, irreducible=True)
+    curve = load_curve(args.curve)
     section_curve = load_curve(args.section_by)
     group = section_points(curve, section_curve, require_transverse=not args.allow_non_transverse)
     if args.out:
@@ -224,15 +221,11 @@ def _run_rcs_section(args) -> dict:
 
 
 def _run_link(args) -> dict:
-    rel = _rel_from_args(args)
-    out = link(rel, args.s)
-    return {"rel": _join(out.entries), "ambient": _join(out.ambient.entries)}
+    return _rel_payload(link(_rel_from_args(args), args.s))
 
 
 def _run_add_section(args) -> dict:
-    rel = _rel_from_args(args)
-    out = add_section(rel, args.s)
-    return {"rel": _join(out.entries), "ambient": _join(out.ambient.entries)}
+    return _rel_payload(add_section(_rel_from_args(args), args.s))
 
 
 def _run_split(args) -> dict:
@@ -244,8 +237,7 @@ def _run_split(args) -> dict:
 
 
 def _run_minimal(args) -> dict:
-    rel = minimal_delta_seq(args.d, args.alpha)
-    return {"rel": _join(rel.entries), "ambient": _join(rel.ambient.entries)}
+    return _rel_payload(minimal_delta_seq(args.d, args.alpha))
 
 
 def _run_genus(args) -> dict:
@@ -267,7 +259,7 @@ def _run_dim(args) -> dict:
         return {"r_alpha": r_alpha(args.d, args.alpha)}
     if not args.curve or not args.points:
         raise UsageError("measured dimension needs --curve and --points")
-    curve = load_curve(args.curve, irreducible=True)
+    curve = load_curve(args.curve)
     group = load_points(args.points, curve)
     return {"dim": dim_linear_system(curve, group)}
 
@@ -281,7 +273,7 @@ def _run_classify(args) -> dict:
         return verdict.to_json()
     if not args.curve or not args.points:
         raise UsageError("classify needs --curve and --points (or --rel with --d/--alpha/--i)")
-    curve = load_curve(args.curve, irreducible=True)
+    curve = load_curve(args.curve)
     group = load_points(args.points, curve)
     return classify_maximal(curve, group, seed=args.seed).to_json()
 
@@ -292,12 +284,10 @@ def _run_realize(args) -> dict:
     if args.add_case is not None:
         if args.rel is None:
             raise UsageError("--add-case needs --rel")
-        rel = _plane_rel(args)
-        out = add_case(rel, args.add_case)
-        return {"rel": _join(out.entries), "ambient": _join(out.ambient.entries)}
+        return _rel_payload(add_case(_plane_rel(args), args.add_case))
     if not args.curve or not args.target:
         raise UsageError("realization needs --curve and --target")
-    curve = load_curve(args.curve, irreducible=True)
+    curve = load_curve(args.curve)
     target = _seq(args.target)
     group = realize(curve, target, seed=args.seed)
     if args.out:
@@ -307,7 +297,7 @@ def _run_realize(args) -> dict:
 
 
 def _run_filtration(args) -> dict:
-    curve = load_curve(args.curve, irreducible=True)
+    curve = load_curve(args.curve)
     group = load_points(args.points, curve)
     candidates = load_points(args.candidates).points if args.candidates else None
     if args.level is not None:
@@ -320,7 +310,7 @@ def _run_filtration(args) -> dict:
 
 
 def _run_conjecture_scan(args) -> dict:
-    curve = load_curve(args.curve, irreducible=True)
+    curve = load_curve(args.curve)
     report = conjecture_scan(curve, args.s, args.trials, seed=args.seed)
     return report.to_json()
 
@@ -346,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, seeded=False):
-        sp.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
         sp.add_argument("--format", choices=("json", "table"), default="json")
         if seeded:
             sp.add_argument("--seed", type=int, default=0)
@@ -517,7 +506,6 @@ def _dispatch_rcs(args) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _ = _modulus(args)  # validated for subcommands that read files carrying p
     try:
         payload = args.handler(args)
     except UsageError as err:

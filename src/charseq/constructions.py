@@ -20,13 +20,13 @@ from .pointlab import (
     PlaneCurve,
     PointGroup,
     ProjPoint,
-    evaluate_terms,
+    cross,
     evaluation_matrix,
-    gradient_at,
     intersect_curves,
     is_singular_point,
     line_points_on_curve,
     line_span_points,
+    meets_transversally,
     monomial_basis,
     multiply_curves,
     plane_curve,
@@ -34,6 +34,7 @@ from .pointlab import (
     point_pool,
     proj_point,
     random_points_on_curve,
+    random_proj_point,
 )
 
 
@@ -46,20 +47,15 @@ def fold_seed(*parts: int) -> int:
 
 
 def fermat_curve(p: int, d: int) -> PlaneCurve:
-    return plane_curve(p, {(d, 0, 0): 1, (0, d, 0): 1, (0, 0, d): 1}, irreducible=True)
+    return plane_curve(p, {(d, 0, 0): 1, (0, d, 0): 1, (0, 0, d): 1})
 
 
 def line_through(p: int, a: ProjPoint, b: ProjPoint) -> PlaneCurve:
     """The unique line through two distinct points (cross product coefficients)."""
-    (x1, y1, z1), (x2, y2, z2) = a.coords, b.coords
-    coeffs = {
-        (1, 0, 0): (y1 * z2 - z1 * y2) % p,
-        (0, 1, 0): (z1 * x2 - x1 * z2) % p,
-        (0, 0, 1): (x1 * y2 - y1 * x2) % p,
-    }
-    if all(v == 0 for v in coeffs.values()):
+    coeffs = cross(a.coords, b.coords, p)
+    if not any(coeffs):
         raise GeometryError("points coincide; no unique line")
-    return plane_curve(p, coeffs)
+    return plane_curve(p, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), coeffs)))
 
 
 def curve_from_vector(p: int, d: int, vec) -> PlaneCurve:
@@ -109,7 +105,7 @@ def random_smooth_curve(p: int, d: int, seed: int, samples: int = 16) -> PlaneCu
             continue
         if any(is_singular_point(curve, q) for q in pool[:samples]):
             continue
-        return plane_curve(p, curve.coeff_dict(), irreducible=True)
+        return curve
     raise GeometryError(f"no smooth-looking degree-{d} curve found over p={p}")
 
 
@@ -122,7 +118,7 @@ def split_line(
     residual degree splits completely over the field.
     """
     d = X.degree
-    pool = [q for q in point_pool(X, max(4 * d, 48)) if not is_singular_point(X, q)]
+    pool = _smooth_pool(X)
     if len(pool) < 2:
         raise GeometryError("not enough smooth rational points to anchor a line")
     rng = random.Random(seed)
@@ -133,30 +129,17 @@ def split_line(
             continue
         if any(q in avoid for q in pts):
             continue
-        if any(is_singular_point(X, q) for q in pts):
-            continue
         line = line_through(X.p, a, b)
-        # simple points only: the line must not be tangent anywhere on it
-        if _tangent_somewhere(X, line, pts):
+        # simple points only: no tangency and no singular point on the line
+        if not meets_transversally(X, line, pts):
             continue
         return line, pts
     raise GeometryError(f"no fully split line found on this degree-{d} curve; try another seed")
 
 
-def _tangent_somewhere(X: PlaneCurve, line: PlaneCurve, pts) -> bool:
-    p = X.p
-    coeff = line.coeff_dict()
-    lv = (coeff.get((1, 0, 0), 0), coeff.get((0, 1, 0), 0), coeff.get((0, 0, 1), 0))
-    for q in pts:
-        g = gradient_at(X, q)
-        cross = (
-            (g[1] * lv[2] - g[2] * lv[1]) % p,
-            (g[2] * lv[0] - g[0] * lv[2]) % p,
-            (g[0] * lv[1] - g[1] * lv[0]) % p,
-        )
-        if cross == (0, 0, 0):
-            return True
-    return False
+def _smooth_pool(X: PlaneCurve) -> list[ProjPoint]:
+    """The smooth points of the pool that lines are anchored on."""
+    return [q for q in point_pool(X, max(4 * X.degree, 48)) if not is_singular_point(X, q)]
 
 
 def split_section(
@@ -208,7 +191,7 @@ def aligned_points_on_curve(X: PlaneCurve, k: int, seed: int) -> tuple[ProjPoint
     d = X.degree
     if k > d:
         raise GeometryError(f"a line meets a degree-{d} curve in at most {d} points")
-    pool = [q for q in point_pool(X, max(4 * d, 48)) if not is_singular_point(X, q)]
+    pool = _smooth_pool(X)
     rng = random.Random(seed)
     for _ in range(400):
         a, b = rng.sample(pool, 2)
@@ -300,7 +283,7 @@ def _try_sextic(p: int, rng: random.Random) -> SexticConfig | None:
     # harvested with random lines
     base_pts = []
     while len(base_pts) < 5:
-        q = _random_point(rng, p)
+        q = random_proj_point(rng, p)
         if q not in base_pts:
             base_pts.append(q)
     try:
@@ -312,7 +295,7 @@ def _try_sextic(p: int, rng: random.Random) -> SexticConfig | None:
         return None
     conic_pts = sorted(random.Random(rng.randrange(2**30)).sample(sorted(conic_pool), 12))
 
-    line_anchor = (_random_point(rng, p), _random_point(rng, p))
+    line_anchor = (random_proj_point(rng, p), random_proj_point(rng, p))
     if line_anchor[0] == line_anchor[1]:
         return None
     line = line_through(p, *line_anchor)
@@ -327,18 +310,13 @@ def _try_sextic(p: int, rng: random.Random) -> SexticConfig | None:
         sextic = random_curve_through(p, 6, through, rng.randrange(2**30))
     except GeometryError:
         return None
-    sextic = plane_curve(p, sextic.coeff_dict(), irreducible=True)
 
     # the conic and line must not divide the sextic
-    conic_check = evaluate_terms(sextic.terms, _many_coords(conic_pool[:14]), p)
-    if not np.any(conic_check):
+    if all(sextic.contains(q) for q in conic_pool[:14]):
         return None
-    line_vals = evaluate_terms(sextic.terms, row, p)
-    roots = [proj_point(*(int(v) for v in row[i]), p) for i in np.nonzero(line_vals == 0)[0]]
-    roots = sorted(set(roots))
-    if len(roots) != 6:
+    full_line_pts = line_points_on_curve(sextic, *line_anchor)
+    if len(full_line_pts) != 6:
         return None
-    full_line_pts = tuple(roots)
 
     # conic section must be exactly the twelve chosen points, all smooth
     try:
@@ -351,14 +329,3 @@ def _try_sextic(p: int, rng: random.Random) -> SexticConfig | None:
     if any(is_singular_point(sextic, q) for q in special):
         return None
     return SexticConfig(sextic, line, full_line_pts, conic, tuple(sorted(conic_pts)))
-
-
-def _many_coords(points) -> np.ndarray:
-    return np.array([q.coords for q in points], dtype=np.int64).reshape(-1, 3)
-
-
-def _random_point(rng: random.Random, p: int) -> ProjPoint:
-    while True:
-        x, y, z = rng.randrange(p), rng.randrange(p), rng.randrange(p)
-        if (x, y, z) != (0, 0, 0):
-            return proj_point(x, y, z, p)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -24,7 +24,6 @@ from .errors import DomainError, GeometryError
 from .liaison import RelCharSeq
 from .seqcalc import CharSeq, entries_from_widths, plane_curve_charseq
 
-DEFAULT_MODULUS = 10007
 SMALL_FIELD_SCAN = 101  # full P^2 enumeration is feasible up to here
 POOL_MAX = 5000
 
@@ -70,28 +69,45 @@ class PlaneCurve:
 
     p: int
     terms: tuple[tuple[int, int, int, int], ...]  # (e1, e2, e3, coeff)
-    irreducible_flag: bool = False
 
     @property
     def degree(self) -> int:
         e1, e2, e3, _ = self.terms[0]
         return e1 + e2 + e3
 
+    @cached_property
+    def partials(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+        """The three partial derivatives, as term lists like ``terms``."""
+        return tuple(
+            tuple((*e, c) for e, c in _partial_dict(self, var).items()) for var in range(3)
+        )
+
     def coeff_dict(self) -> dict[tuple[int, int, int], int]:
         return {(e1, e2, e3): c for e1, e2, e3, c in self.terms}
 
     def evaluate(self, q: ProjPoint) -> int:
-        x, y, z = q.coords
-        return sum(
-            c * pow(x, e1, self.p) * pow(y, e2, self.p) * pow(z, e3, self.p)
-            for e1, e2, e3, c in self.terms
-        ) % self.p
+        return _eval_at(self.terms, q, self.p)
 
     def contains(self, q: ProjPoint) -> bool:
         return self.evaluate(q) == 0
 
 
-def plane_curve(p: int, coeffs, irreducible: bool = False) -> PlaneCurve:
+def _eval_at(terms, q: ProjPoint, p: int) -> int:
+    x, y, z = q.coords
+    return sum(c * pow(x, e1, p) * pow(y, e2, p) * pow(z, e3, p) for e1, e2, e3, c in terms) % p
+
+
+def cross(u: Sequence[int], v: Sequence[int], p: int) -> tuple[int, int, int]:
+    """Cross product of two coordinate vectors mod p: the line through two
+    points, the point on two lines, and zero exactly when u, v are dependent."""
+    return (
+        (u[1] * v[2] - u[2] * v[1]) % p,
+        (u[2] * v[0] - u[0] * v[2]) % p,
+        (u[0] * v[1] - u[1] * v[0]) % p,
+    )
+
+
+def plane_curve(p: int, coeffs) -> PlaneCurve:
     """Build a curve from {(e1,e2,e3): c} or an iterable of (e1,e2,e3,c).
 
     Coefficients are reduced mod p, zero terms dropped; the form must be
@@ -114,7 +130,7 @@ def plane_curve(p: int, coeffs, irreducible: bool = False) -> PlaneCurve:
     degrees = {e1 + e2 + e3 for e1, e2, e3, _ in terms}
     if len(degrees) != 1:
         raise DomainError(f"form is not homogeneous: degrees {sorted(degrees)}")
-    return PlaneCurve(p, terms, irreducible)
+    return PlaneCurve(p, terms)
 
 
 def multiply_curves(a: PlaneCurve, b: PlaneCurve) -> PlaneCurve:
@@ -142,20 +158,21 @@ def _partial_dict(curve: PlaneCurve, var: int) -> dict[tuple[int, int, int], int
 
 
 def gradient_at(curve: PlaneCurve, q: ProjPoint) -> tuple[int, int, int]:
-    x, y, z = q.coords
-    p = curve.p
-    grads = []
-    for var in range(3):
-        total = 0
-        for (e1, e2, e3), c in _partial_dict(curve, var).items():
-            total += c * pow(x, e1, p) * pow(y, e2, p) * pow(z, e3, p)
-        grads.append(total % p)
-    return tuple(grads)
+    return tuple(_eval_at(partial, q, curve.p) for partial in curve.partials)
 
 
 def is_singular_point(curve: PlaneCurve, q: ProjPoint) -> bool:
     """Whether every partial derivative vanishes at q (q assumed on the curve)."""
     return gradient_at(curve, q) == (0, 0, 0)
+
+
+def meets_transversally(X: PlaneCurve, H: PlaneCurve, pts: Iterable[ProjPoint]) -> bool:
+    """Whether X and H cross with distinct tangents at every point of ``pts``.
+
+    The gradients are dependent exactly at a tangency or at a singular
+    point of either curve, where one gradient is zero.
+    """
+    return all(any(cross(gradient_at(X, q), gradient_at(H, q), X.p)) for q in pts)
 
 
 def tangent_line(curve: PlaneCurve, q: ProjPoint) -> PlaneCurve:
@@ -238,10 +255,8 @@ def point_group(p: int, points: Iterable[ProjPoint], curve: PlaneCurve | None = 
 
 
 @lru_cache(maxsize=None)
-def monomial_basis(l: int, nvars: int = 3) -> tuple[tuple[int, int, int], ...]:
+def monomial_basis(l: int) -> tuple[tuple[int, int, int], ...]:
     """Exponent triples of degree l in graded lex order, x > y > z."""
-    if nvars != 3:
-        raise DomainError("only the trivariate case is supported")
     if l < 0:
         raise DomainError("degree must be >= 0")
     return tuple(
@@ -284,11 +299,6 @@ def evaluate_terms(terms, coords: np.ndarray, p: int) -> np.ndarray:
         term = (term * table[2][e3]) % p
         acc = (acc + c * term) % p
     return acc
-
-
-def evaluate_curve_at(curve: PlaneCurve, points: Sequence[ProjPoint]) -> np.ndarray:
-    coords = np.array([q.coords for q in points], dtype=np.int64).reshape(-1, 3)
-    return evaluate_terms(curve.terms, coords, curve.p)
 
 
 def phi_points(group: PointGroup, l: int) -> int:
@@ -375,17 +385,11 @@ def line_points_on_curve(curve: PlaneCurve, a: ProjPoint, b: ProjPoint) -> tuple
     return tuple(sorted(pts))
 
 
-def _random_proj_point(rng: random.Random, p: int) -> ProjPoint:
+def random_proj_point(rng: random.Random, p: int) -> ProjPoint:
     while True:
         x, y, z = rng.randrange(p), rng.randrange(p), rng.randrange(p)
         if (x, y, z) != (0, 0, 0):
             return proj_point(x, y, z, p)
-
-
-def _independent(a: ProjPoint, b: ProjPoint, p: int) -> bool:
-    (x1, y1, z1), (x2, y2, z2) = a.coords, b.coords
-    cross = ((y1 * z2 - z1 * y2) % p, (z1 * x2 - x1 * z2) % p, (x1 * y2 - y1 * x2) % p)
-    return cross != (0, 0, 0)
 
 
 def point_pool(curve: PlaneCurve, size: int) -> tuple[ProjPoint, ...]:
@@ -403,9 +407,9 @@ def point_pool(curve: PlaneCurve, size: int) -> tuple[ProjPoint, ...]:
     while len(pool.points) < size and pool.lines_tried < budget:
         rng = random.Random(base * 1000003 + pool.lines_tried)
         pool.lines_tried += 1
-        a = _random_proj_point(rng, curve.p)
-        b = _random_proj_point(rng, curve.p)
-        if not _independent(a, b, curve.p):
+        a = random_proj_point(rng, curve.p)
+        b = random_proj_point(rng, curve.p)
+        if not any(cross(a.coords, b.coords, curve.p)):
             continue
         for q in line_points_on_curve(curve, a, b):
             if q not in pool.seen:
@@ -574,13 +578,9 @@ def section_points(
         basis = modlin.kernel_basis(np.array([row], dtype=np.int64), p)
         a = proj_point(*(int(v) for v in basis[0]), p)
         b = proj_point(*(int(v) for v in basis[1]), p)
-        coords = line_span_points(p, a, b)
-        vals = evaluate_terms(X.terms, coords, p)
-        if not np.any(vals):
+        pts = line_points_on_curve(X, a, b)
+        if len(pts) == p + 1:
             raise GeometryError("improper intersection: the line lies on the curve")
-        pts = tuple(
-            sorted({proj_point(int(r[0]), int(r[1]), int(r[2]), p) for r in coords[vals == 0]})
-        )
     else:
         pts = intersect_curves(X, H, seed=seed)
     if require_transverse:
@@ -590,16 +590,8 @@ def section_points(
                 f"non-transverse or irrational intersection: found {len(pts)} rational "
                 f"points, expected {expected}"
             )
-        for q in pts:
-            gf = gradient_at(X, q)
-            gh = gradient_at(H, q)
-            cross = (
-                (gf[1] * gh[2] - gf[2] * gh[1]) % p,
-                (gf[2] * gh[0] - gf[0] * gh[2]) % p,
-                (gf[0] * gh[1] - gf[1] * gh[0]) % p,
-            )
-            if cross == (0, 0, 0):
-                raise GeometryError("non-transverse or irrational intersection: tangency")
+        if not meets_transversally(X, H, pts):
+            raise GeometryError("non-transverse or irrational intersection: tangency")
     return point_group(p, pts, X)
 
 
@@ -693,22 +685,33 @@ def save_points(path, group: PointGroup) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_points(path, curve: PlaneCurve | None = None) -> PointGroup:
+def _read_rows(path, kind: str, width: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The modulus and the integer rows of a curve or point file."""
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not text or not text[0].startswith("p="):
-        raise DomainError("point file must start with a 'p=<modulus>' header")
-    p = check_modulus(int(text[0][2:]))
-    pts = []
+        raise DomainError(f"{kind} file must start with a 'p=<modulus>' header")
+    p = check_modulus(_ints((text[0][2:],), kind, text[0])[0])
+    rows = []
     for line in text[1:]:
-        line = line.strip()
-        if not line:
-            continue
         fields = line.split()
-        if len(fields) != 3:
-            raise DomainError(f"point rows carry three coordinates, got {line!r}")
-        x, y, z = (int(v) for v in fields)
-        pts.append(proj_point(x, y, z, p))
-    return point_group(p, pts, curve)
+        if not fields:
+            continue
+        if len(fields) != width:
+            raise DomainError(f"{kind} rows carry {width} integers, got {line.strip()!r}")
+        rows.append(_ints(fields, kind, line))
+    return p, rows
+
+
+def _ints(fields, kind: str, line: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in fields)
+    except ValueError:
+        raise DomainError(f"non-integer field in {kind} file line {line.strip()!r}") from None
+
+
+def load_points(path, curve: PlaneCurve | None = None) -> PointGroup:
+    p, rows = _read_rows(path, "point", 3)
+    return point_group(p, [proj_point(x, y, z, p) for x, y, z in rows], curve)
 
 
 def save_curve(path, curve: PlaneCurve) -> None:
@@ -717,16 +720,6 @@ def save_curve(path, curve: PlaneCurve) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_curve(path, irreducible: bool = False) -> PlaneCurve:
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not text or not text[0].startswith("p="):
-        raise DomainError("curve file must start with a 'p=<modulus>' header")
-    p = check_modulus(int(text[0][2:]))
-    terms = []
-    for line in text[1:]:
-        line = line.strip()
-        if not line:
-            continue
-        e1, e2, e3, c = (int(v) for v in line.split())
-        terms.append((e1, e2, e3, c))
-    return plane_curve(p, terms, irreducible)
+def load_curve(path) -> PlaneCurve:
+    p, rows = _read_rows(path, "curve", 4)
+    return plane_curve(p, rows)

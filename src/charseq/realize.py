@@ -94,24 +94,18 @@ def filtration_points(
     """
     if t >= 0 and Y.size == 0:
         return ()
-    if candidates is not None or X.p <= SMALL_FIELD_SCAN:
-        cands = _candidate_points(X, candidates, allow_pool)
-        if t < 0:
-            return cands
-        kernel = modlin.kernel_basis(evaluation_matrix(Y.points, t, Y.p), Y.p)
-        if kernel.shape[0] == 0:
-            return cands
-        return _filter_by_kernel(cands, kernel, t, X.p)
     if t < 0:
-        return _candidate_points(X, None, allow_pool)
+        return _candidate_points(X, candidates, allow_pool)
     kernel = modlin.kernel_basis(evaluation_matrix(Y.points, t, Y.p), Y.p)
     if kernel.shape[0] == 0:
-        return _candidate_points(X, None, allow_pool)
-    base = _kernel_section(X, kernel, t)
+        return _candidate_points(X, candidates, allow_pool)
+    base = None
+    if candidates is None and X.p > SMALL_FIELD_SCAN:
+        # None when the constraints vanish on all of X (multiples of the
+        # curve itself); filtering the pool is then a no-op
+        base = _kernel_section(X, kernel, t)
     if base is None:
-        # constraints vanish on all of X (multiples of the curve itself);
-        # filtering the pool is then a no-op but keeps the fallback safe
-        return _filter_by_kernel(_candidate_points(X, None, allow_pool), kernel, t, X.p)
+        base = _candidate_points(X, candidates, allow_pool)
     return _filter_by_kernel(base, kernel, t, X.p)
 
 

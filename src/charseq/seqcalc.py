@@ -65,7 +65,6 @@ class HilbertFn:
 
     values: tuple[int, ...]
     cone_dim: int
-    canonical: CharSeq | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
@@ -120,7 +119,7 @@ def hilbert_function(seq: CharSeq, length: int | None = None) -> HilbertFn:
     if length is None:
         length = (max(seq.entries) if seq.entries else 0) + 2
     values = tuple(phi_from_charseq(seq, l) for l in range(length + 1))
-    return HilbertFn(values, seq.cone_dim, canonical=seq)
+    return HilbertFn(values, seq.cone_dim)
 
 
 def _iterated_difference(values: Sequence[int], order: int) -> list[int]:

@@ -163,6 +163,79 @@ def test_byte_identical_output(capsys):
     assert first == second
 
 
+# Fixed input files: the Fermat quartic at p=10007, a line cutting it in four
+# rational points, and a smooth quartic at p=101.
+GOLDEN_INPUTS = {
+    "q.txt": "p=10007\n0 0 4 1\n0 4 0 1\n4 0 0 1\n",
+    "line.txt": "p=10007\n0 0 1 9535\n0 1 0 8333\n1 0 0 5475\n",
+    "c101.txt": (
+        "p=101\n0 0 4 46\n0 1 3 1\n0 2 2 56\n0 3 1 99\n0 4 0 67\n1 0 3 31\n1 1 2 20\n"
+        "1 2 1 13\n1 3 0 8\n2 0 2 51\n2 1 1 71\n2 2 0 60\n3 0 1 61\n3 1 0 13\n4 0 0 58\n"
+    ),
+}
+
+# (arguments, stdout) of geometry-backed calls, run in order in one directory;
+# later calls read the point files that earlier ones write.
+GOLDEN_CALLS = (
+    (
+        "rcs --curve q.txt --random 6 --seed 3 --out y.txt",
+        '{"modulus": 10007, "out": "y.txt", "points": 6}',
+    ),
+    ("rcs --curve q.txt --points y.txt", '{"ambient": "0,1,2,3", "rel": "3,3,3,3"}'),
+    ("rcs --points y.txt --abs", '{"codim": 2, "cone_dim": 1, "entries": "0,1,1,2,2,2"}'),
+    ("dim --curve q.txt --points y.txt", '{"dim": 3}'),
+    ("rcs --curve q.txt --section-by line.txt --out s.txt", '{"out": "s.txt", "points": 4}'),
+    ("rcs --curve q.txt --points s.txt", '{"ambient": "0,1,2,3", "rel": "1,2,3,4"}'),
+    (
+        "filtration --curve q.txt --points s.txt --t 1",
+        '{"count": 4, "points": ["525 7880 1", "5395 3758 1", "7111 1085 1", "8785 6560 1"]}',
+    ),
+    (
+        "filtration --curve q.txt --points y.txt --t 3",
+        '{"count": 6, "points": ["1315 5049 1", "3474 357 1", "5053 5639 1", '
+        '"5829 5759 1", "6071 410 1", "9122 2450 1"]}',
+    ),
+    (
+        "realize --curve c101.txt --target 2,2,3,3 --seed 1 --out r.txt",
+        '{"out": "r.txt", "points": 4, "rel": "2,2,3,3"}',
+    ),
+    ("rcs --curve c101.txt --points r.txt", '{"ambient": "0,1,2,3", "rel": "2,2,3,3"}'),
+    (
+        "filtration --curve c101.txt --points r.txt --t 2",
+        '{"count": 5, "points": ["5 64 1", "8 38 1", "56 28 1", "84 32 1", "98 34 1"]}',
+    ),
+    ("filtration --curve c101.txt --points r.txt --level 4", '{"witness": "5 64 1"}'),
+    (
+        "classify --curve q.txt --points s.txt",
+        '{"alpha": 4, "case": "residual-of-r-points-in-degree-s-section", "certificate": '
+        '{"containing_curve": [[0, 0, 1, 1], [0, 1, 0, 894], [1, 0, 0, 3317]], '
+        '"containing_curve_degree": 1, "measured": [1, 2, 3, 4], "minimal": [1, 2, 3, 4]}, '
+        '"dimension": 2, "r": 0, "s": 1}',
+    ),
+)
+
+GOLDEN_OUTPUTS = {
+    "y.txt": (
+        "p=10007\n1315 5049 1\n3474 357 1\n5053 5639 1\n5829 5759 1\n6071 410 1\n"
+        "9122 2450 1\n"
+    ),
+    "s.txt": "p=10007\n525 7880 1\n5395 3758 1\n7111 1085 1\n8785 6560 1\n",
+    "r.txt": "p=101\n8 38 1\n56 28 1\n84 32 1\n98 34 1\n",
+}
+
+
+def test_geometry_calls_match_recorded_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    for args, expected in GOLDEN_CALLS:
+        code, out, err = run_cli(capsys, *args.split())
+        assert code == 0, (args, err)
+        assert out == expected + "\n", args
+    for name, text in GOLDEN_OUTPUTS.items():
+        assert (tmp_path / name).read_text() == text, name
+
+
 def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "macaulay", "--c", "0", "--d", "2")
     assert code == 1 and "error" in err
@@ -174,22 +247,44 @@ def test_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["macaulay", "--d", "oops"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["halphen", "--alpha", "6", "--d", "3", "--modulus", "101"])
+    assert exc.value.code == 2  # the modulus comes from the files, not a flag
     capsys.readouterr()
+
+
+def test_non_integer_sequence_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["charseq", "--seq", "0,1,x", "--validate"])
+    assert exc.value.code == 2
+    assert "comma-separated integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("curve", "p=101\n0 4 x 1\n"),
+        ("curve", "p=abc\n0 0 4 1\n"),
+        ("curve", "p=101\n0 0 4\n"),
+        ("points", "p=101\n1 x 1\n"),
+    ],
+)
+def test_malformed_input_files_exit_1(tmp_path, capsys, kind, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    if kind == "curve":
+        argv = ("rcs", "--curve", str(bad), "--random", "3")
+    else:
+        argv = ("rcs", "--points", str(bad), "--abs")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_table_format(capsys):
     code, out, _ = run_cli(capsys, "halphen", "--alpha", "6", "--d", "3", "--format", "table")
     assert code == 0
     assert out.strip() == "bound  4"
-
-
-def test_modulus_env_override(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("CHARSEQ_MODULUS", "101")
-    from charseq.cli import _modulus
-    import argparse
-
-    args = argparse.Namespace(modulus=10007)
-    assert _modulus(args) == 101
 
 
 OPERATION_MAP = {

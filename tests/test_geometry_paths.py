@@ -1,0 +1,140 @@
+"""Differential tests: the shared line-section, gradient and transversality
+paths against plain brute-force oracles written out here."""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from charseq.constructions import multiply_curves, random_curve_through, split_line
+from charseq.errors import GeometryError
+from charseq.pointlab import (
+    gradient_at,
+    meets_transversally,
+    plane_curve,
+    proj_point,
+    rational_points,
+    section_points,
+)
+from charseq.verify import corpus_curve
+
+P = 101
+
+
+def brute_gradient(curve, q):
+    """Formal partial derivatives, term by term, evaluated at q."""
+    p = curve.p
+    out = []
+    for var in range(3):
+        total = 0
+        for *e, c in curve.terms:
+            if e[var] == 0:
+                continue
+            k = e[var]
+            e[var] -= 1
+            value = k * c
+            for coord, power in zip(q.coords, e):
+                value *= coord**power
+            total += value
+        out.append(total % p)
+    return tuple(out)
+
+
+def brute_cross(u, v, p):
+    return tuple(
+        (u[(i + 1) % 3] * v[(i + 2) % 3] - u[(i + 2) % 3] * v[(i + 1) % 3]) % p
+        for i in range(3)
+    )
+
+
+def all_points(p):
+    for x in range(p):
+        for y in range(p):
+            yield proj_point(x, y, 1, p)
+    for x in range(p):
+        yield proj_point(x, 1, 0, p)
+    yield proj_point(1, 0, 0, p)
+
+
+PLANE = tuple(all_points(P))
+
+coeff = st.integers(min_value=0, max_value=P - 1)
+line_coeffs = st.tuples(coeff, coeff, coeff).filter(any)
+curves = st.builds(
+    lambda d, seed: random_curve_through(P, d, (), seed),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=10**6),
+)
+big_curves = st.builds(
+    lambda d, seed: random_curve_through(10007, d, (), seed),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=10**6),
+)
+
+
+def make_line(abc):
+    return plane_curve(P, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), abc)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    curve=st.one_of(curves, big_curves),
+    xyz=st.tuples(st.integers(0, 10**9), st.integers(0, 10**9), st.integers(0, 10**9)),
+)
+def test_gradient_matches_brute_force(curve, xyz):
+    assume(any(v % curve.p for v in xyz))
+    q = proj_point(*xyz, curve.p)
+    assert gradient_at(curve, q) == brute_gradient(curve, q)
+    assert gradient_at(curve, q) == brute_gradient(curve, q)  # cached partials again
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    curve=curves.filter(lambda X: X.degree >= 2),
+    abc=line_coeffs,
+    mode=st.sampled_from(("free", "tangent", "secant")),
+    i=st.integers(0, 10**6),
+    j=st.integers(0, 10**6),
+)
+def test_line_section_matches_plain_scan(curve, abc, mode, i, j):
+    # tangent and secant lines through rational points of the curve make
+    # tangencies and fully split sections common enough to test
+    pts = rational_points(curve)
+    if mode != "free" and len(pts) >= 2:
+        a, b = pts[i % len(pts)], pts[j % len(pts)]
+        if mode == "tangent" and any(brute_gradient(curve, a)):
+            abc = brute_gradient(curve, a)
+        elif mode == "secant" and a != b:
+            abc = brute_cross(a.coords, b.coords, P)
+    line = make_line(abc)
+    on_line = [q for q in PLANE if line.contains(q)]
+    assert len(on_line) == P + 1
+    expected = tuple(sorted(q for q in on_line if curve.contains(q)))
+    if len(expected) == P + 1:
+        with pytest.raises(GeometryError):
+            section_points(curve, line, require_transverse=False)
+        return
+    assert section_points(curve, line, require_transverse=False).points == expected
+    simple = all(any(brute_cross(brute_gradient(curve, q), abc, P)) for q in expected)
+    assert meets_transversally(curve, line, expected) == simple
+    if len(expected) == curve.degree and simple:
+        assert section_points(curve, line).points == expected
+    else:
+        with pytest.raises(GeometryError):
+            section_points(curve, line)
+
+
+@settings(max_examples=20, deadline=None)
+@given(abc=line_coeffs)
+def test_line_component_of_a_reducible_curve_raises(abc):
+    line = make_line(abc)
+    X = multiply_curves(line, corpus_curve(P, 3))
+    for transverse in (True, False):
+        with pytest.raises(GeometryError, match="lies on the curve"):
+            section_points(X, line, require_transverse=transverse)
+
+
+def test_line_component_raises_on_the_big_field():
+    cubic = corpus_curve(10007, 3)
+    line, _ = split_line(cubic, seed=4)
+    with pytest.raises(GeometryError, match="lies on the curve"):
+        section_points(multiply_curves(line, cubic), line, require_transverse=False)

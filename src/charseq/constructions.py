@@ -24,15 +24,14 @@ from .pointlab import (
     evaluation_matrix,
     intersect_curves,
     is_singular_point,
+    line_point,
     line_points_on_curve,
-    line_span_points,
     meets_transversally,
     monomial_basis,
     multiply_curves,
     plane_curve,
     point_group,
     point_pool,
-    proj_point,
     random_points_on_curve,
     random_proj_point,
 )
@@ -118,7 +117,7 @@ def split_line(
     residual degree splits completely over the field.
     """
     d = X.degree
-    pool = _smooth_pool(X)
+    pool = X.smooth_pool
     if len(pool) < 2:
         raise GeometryError("not enough smooth rational points to anchor a line")
     rng = random.Random(seed)
@@ -135,11 +134,6 @@ def split_line(
             continue
         return line, pts
     raise GeometryError(f"no fully split line found on this degree-{d} curve; try another seed")
-
-
-def _smooth_pool(X: PlaneCurve) -> list[ProjPoint]:
-    """The smooth points of the pool that lines are anchored on."""
-    return [q for q in point_pool(X, max(4 * X.degree, 48)) if not is_singular_point(X, q)]
 
 
 def split_section(
@@ -191,7 +185,7 @@ def aligned_points_on_curve(X: PlaneCurve, k: int, seed: int) -> tuple[ProjPoint
     d = X.degree
     if k > d:
         raise GeometryError(f"a line meets a degree-{d} curve in at most {d} points")
-    pool = _smooth_pool(X)
+    pool = X.smooth_pool
     rng = random.Random(seed)
     for _ in range(400):
         a, b = rng.sample(pool, 2)
@@ -299,9 +293,8 @@ def _try_sextic(p: int, rng: random.Random) -> SexticConfig | None:
     if line_anchor[0] == line_anchor[1]:
         return None
     line = line_through(p, *line_anchor)
-    row = line_span_points(p, line_anchor[0], line_anchor[1])
-    idx = random.Random(rng.randrange(2**30)).sample(range(row.shape[0]), 5)
-    line_pts = sorted(proj_point(*(int(v) for v in row[i]), p) for i in idx)
+    idx = random.Random(rng.randrange(2**30)).sample(range(p + 1), 5)
+    line_pts = sorted(line_point(*line_anchor, t, p) for t in idx)
     if any(conic.contains(q) for q in line_pts) or any(line.contains(q) for q in conic_pts):
         return None
 

@@ -7,6 +7,8 @@ identical inputs give identical echelon forms on any machine.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from .errors import DomainError
@@ -107,22 +109,76 @@ def poly_eval(coeffs, x: int, p: int) -> int:
     return acc
 
 
-def poly_eval_all(coeffs, p: int) -> np.ndarray:
-    """Values at every field element 0..p-1, Horner over a vector."""
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed(list(coeffs)):
-        acc = (acc * xs + int(c) % p) % p
-    return acc
-
-
 def poly_roots(coeffs, p: int) -> list[int]:
-    """All roots in the prime field, by a full scan (exact, p passes)."""
-    coeffs = poly_trim([int(c) % p for c in coeffs])
-    if not coeffs:
+    """All roots in the prime field, sorted (exact, polynomial in deg and log p).
+
+    The nonzero roots of f are those of g = gcd(f, t^p - t), a product of
+    distinct linear factors, which Cantor-Zassenhaus splits with gcds
+    against (t + a)^((p-1)/2) - 1.  The shifts a come from an rng seeded
+    by g, so the function is pure.
+    """
+    f = poly_trim([int(c) % p for c in coeffs])
+    if not f:
         raise DomainError("the zero polynomial has every element as a root")
-    vals = poly_eval_all(coeffs, p)
-    return [int(x) for x in np.nonzero(vals == 0)[0]]
+    roots = [0] if f[0] == 0 else []
+    while f[0] == 0:
+        f.pop(0)
+    if len(f) > 1:
+        inv = pow(f[-1], -1, p)
+        g = [(c * inv) % p for c in f]
+        if len(g) > 2:
+            frob = _pow_linear(0, p, g, p) + [0]  # t^p mod g, padded to the degree of t
+            frob[1] -= 1
+            g = poly_gcd(g, frob, p)
+        _split_roots(g, p, random.Random(hash(tuple(g))), roots)
+    return sorted(roots)
+
+
+def _split_roots(g: list[int], p: int, rng: random.Random, out: list[int]) -> None:
+    # g is monic and a product of distinct linear factors t - r with r != 0
+    # (over F_2 that leaves at most t - 1, so the odd-p split never runs)
+    while len(g) > 2:
+        h = _pow_linear(rng.randrange(p), (p - 1) // 2, g, p)
+        h[0] -= 1
+        part = poly_gcd(g, h, p)
+        if 1 < len(part) < len(g):
+            _split_roots(part, p, rng, out)
+            g = _poly_divmod(g, part, p)[0]
+    if len(g) == 2:
+        out.append((-g[0]) % p)
+
+
+def _pow_linear(a: int, e: int, f: list[int], p: int) -> list[int]:
+    """(t + a)^e mod the monic f of degree n >= 1, as n coefficients.
+
+    A polynomial is packed into one integer with w bits per coefficient
+    (Kronecker substitution), so a squaring is one big-integer product.
+    Its terms t^k with k >= n are folded back with packed rows t^k mod f.
+    A w-bit slot holds 2n*p^3: a square's n products of residues, times
+    t + a, plus the fold, so no slot carries into the next.
+    """
+    n = len(f) - 1
+    w = (2 * n * p**3).bit_length()
+    mask, low = (1 << w) - 1, (1 << (w * n)) - 1
+    rows, row = [], [(-c) % p for c in f[:n]]  # row = t^n mod f
+    for _ in range(n):
+        rows.append(sum(c << (w * i) for i, c in enumerate(row)))
+        row = [(v - row[-1] * c) % p for v, c in zip([0] + row, f[:n])]
+    packed = 1
+    for bit in bin(e)[2:]:
+        high = packed * packed
+        if bit == "1":
+            high = (high << w) + a * high
+        acc, high = high & low, high >> (w * n)
+        for r in rows:
+            if not high:
+                break
+            acc += ((high & mask) % p) * r
+            high >>= w
+        packed = 0
+        for i in range(n - 1, -1, -1):
+            packed = (packed << w) | ((acc >> (w * i)) & mask) % p
+    return [(packed >> (w * i)) & mask for i in range(n)]
 
 
 def poly_gcd(a, b, p: int) -> list[int]:
@@ -130,23 +186,26 @@ def poly_gcd(a, b, p: int) -> list[int]:
     fa = poly_trim([int(c) % p for c in a])
     fb = poly_trim([int(c) % p for c in b])
     while fb:
-        fa, fb = fb, _poly_mod(fa, fb, p)
+        fa, fb = fb, _poly_divmod(fa, fb, p)[1]
     if fa:
         inv = pow(fa[-1], -1, p)
         fa = [(c * inv) % p for c in fa]
     return fa
 
 
-def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
+def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a nonzero b, both reduced mod p."""
     a = a[:]
+    quot = [0] * max(len(a) - len(b) + 1, 0)
     inv = pow(b[-1], -1, p)
     while len(a) >= len(b) and a:
         factor = (a[-1] * inv) % p
         shift = len(a) - len(b)
+        quot[shift] = factor
         for i, c in enumerate(b):
             a[shift + i] = (a[shift + i] - factor * c) % p
         a = poly_trim(a)
-    return a
+    return quot, a
 
 
 def interpolate(xs, ys, p: int) -> list[int]:

@@ -82,6 +82,13 @@ class PlaneCurve:
             tuple((*e, c) for e, c in _partial_dict(self, var).items()) for var in range(3)
         )
 
+    @cached_property
+    def smooth_pool(self) -> tuple[ProjPoint, ...]:
+        """The smooth points of a pool of max(4d, 48) rational points, where
+        random lines are anchored; built once per curve."""
+        pool = point_pool(self, max(4 * self.degree, 48))
+        return tuple(q for q in pool if not is_singular_point(self, q))
+
     def coeff_dict(self) -> dict[tuple[int, int, int], int]:
         return {(e1, e2, e3): c for e1, e2, e3, c in self.terms}
 
@@ -376,12 +383,56 @@ def line_span_points(p: int, a: ProjPoint, b: ProjPoint) -> np.ndarray:
     return np.vstack([rows, bv.reshape(1, 3)])
 
 
+def line_point(a: ProjPoint, b: ProjPoint, t: int, p: int) -> ProjPoint:
+    """Row t of ``line_span_points``: a + t*b for t < p, and b for t = p."""
+    if t == p:
+        return b
+    return proj_point(*(u + t * v for u, v in zip(a.coords, b.coords)), p)
+
+
+def _restrict_to_line(curve: PlaneCurve, a: ProjPoint, b: ProjPoint) -> list[int]:
+    """The d+1 coefficients, lowest first, of g(t) = F(a + t*b); the top one is F(b).
+
+    Nested Horner in x and y over linear polynomials in t, exact at every p,
+    even p <= d where interpolation would run out of nodes.
+    """
+    p, d = curve.p, curve.degree
+    (ax, ay, az), (bx, by, bz) = a.coords, b.coords
+    coeff = curve.coeff_dict()
+    z_powers = [[1]]
+    for _ in range(d):
+        z = z_powers[-1]
+        z_powers.append([(az * u + bz * v) % p for u, v in zip(z + [0], [0] + z)])
+    g: list[int] = []
+    for k in range(d, -1, -1):
+        # h = the coefficient form of x^k, of degree m in y and z
+        m, h = d - k, []
+        for j in range(m, -1, -1):
+            c = coeff.get((k, j, m - j), 0)
+            h = [
+                (ay * u + by * v + c * w) % p
+                for u, v, w in zip(h + [0], [0] + h, z_powers[m - j])
+            ]
+        g = [(ax * u + bx * v + w) % p for u, v, w in zip(g + [0], [0] + g, h)]
+    return g
+
+
 def line_points_on_curve(curve: PlaneCurve, a: ProjPoint, b: ProjPoint) -> tuple[ProjPoint, ...]:
-    """All rational points of the curve on the line through a and b (exact)."""
+    """All rational points of the curve on the line through a and b (exact).
+
+    They are the field roots t of the restriction F(a + t*b), and b when
+    its top coefficient F(b) vanishes.  Only a line lying on the curve,
+    where the restriction is identically zero, is enumerated point by point.
+    """
     p = curve.p
-    coords = line_span_points(p, a, b)
-    vals = evaluate_terms(curve.terms, coords, p)
-    pts = {proj_point(int(r[0]), int(r[1]), int(r[2]), p) for r in coords[vals == 0]}
+    if not any(cross(a.coords, b.coords, p)):
+        raise DomainError("a line needs two distinct points")
+    g = _restrict_to_line(curve, a, b)
+    if not any(g):
+        return tuple(sorted(line_point(a, b, t, p) for t in range(p + 1)))
+    pts = [line_point(a, b, t, p) for t in modlin.poly_roots(g, p)]
+    if g[-1] == 0:
+        pts.append(b)
     return tuple(sorted(pts))
 
 

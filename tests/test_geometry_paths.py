@@ -1,17 +1,26 @@
 """Differential tests: the shared line-section, gradient and transversality
 paths against plain brute-force oracles written out here."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from charseq.constructions import multiply_curves, random_curve_through, split_line
-from charseq.errors import GeometryError
+from charseq.constructions import line_through, multiply_curves, random_curve_through, split_line
+from charseq.errors import DomainError, GeometryError
 from charseq.pointlab import (
+    evaluate_terms,
     gradient_at,
+    is_singular_point,
+    line_point,
+    line_points_on_curve,
+    line_span_points,
     meets_transversally,
     plane_curve,
+    point_pool,
     proj_point,
+    random_proj_point,
     rational_points,
     section_points,
 )
@@ -138,3 +147,81 @@ def test_line_component_raises_on_the_big_field():
     line, _ = split_line(cubic, seed=4)
     with pytest.raises(GeometryError, match="lies on the curve"):
         section_points(multiply_curves(line, cubic), line, require_transverse=False)
+
+
+def scan_line_points(curve, a, b):
+    """The full scan that root finding replaced: the curve at all p+1 line points."""
+    p = curve.p
+    coords = line_span_points(p, a, b)
+    vals = evaluate_terms(curve.terms, coords, p)
+    return tuple(sorted({proj_point(*(int(v) for v in r), p) for r in coords[vals == 0]}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 7, 101, 10007)),
+    d=st.integers(min_value=1, max_value=8),
+    mode=st.sampled_from(("free", "b on X", "a and b on X", "line component")),
+    seed=st.integers(0, 10**6),
+)
+def test_line_points_match_a_scan_of_the_line(p, d, mode, seed):
+    rng = random.Random(seed)
+    a = random_proj_point(rng, p)
+    b = random_proj_point(rng, p)
+    assume(a != b)
+    if mode == "line component":
+        X = line_through(p, a, b)
+        if d > 1:
+            X = multiply_curves(X, random_curve_through(p, d - 1, (), seed))
+    else:
+        through = {"free": (), "b on X": (b,), "a and b on X": (a, b)}[mode]
+        X = random_curve_through(p, d, through, seed)
+    got = line_points_on_curve(X, a, b)
+    assert got == scan_line_points(X, a, b)
+    if mode == "line component":
+        assert len(got) == p + 1
+
+
+def test_line_points_need_two_distinct_points():
+    X = corpus_curve(P, 3)
+    q = rational_points(X)[0]
+    with pytest.raises(DomainError):
+        line_points_on_curve(X, q, q)
+
+
+def test_line_point_rows_match_line_span_points():
+    rng = random.Random(3)
+    a, b = random_proj_point(rng, P), random_proj_point(rng, P)
+    rows = line_span_points(P, a, b)
+    assert [line_point(a, b, t, P) for t in range(P + 1)] == [
+        proj_point(*(int(v) for v in r), P) for r in rows
+    ]
+
+
+@pytest.mark.parametrize("ts", [(0, 1, 2**31 + 5, 4294967310), (7, 2**32, 12345, 4294967311)])
+def test_line_points_are_exact_at_a_large_prime(ts):
+    # a product of four lines, each through a planted point of the line ab
+    # (t = p plants b itself) and a point off it
+    p = 4294967311
+    a, b = proj_point(1, 2, 3, p), proj_point(4, 0, 1, p)
+    planted = [line_point(a, b, t, p) for t in ts]
+    X = None
+    for i, q in enumerate(planted):
+        r = proj_point(i + 1, 1, 0, p)
+        assert not line_through(p, a, b).contains(r)
+        L = line_through(p, q, r)
+        X = L if X is None else multiply_curves(X, L)
+    assert line_points_on_curve(X, a, b) == tuple(sorted(planted))
+
+
+@pytest.mark.parametrize("p", [P, 10007])
+def test_smooth_pool_is_built_once_per_curve(p):
+    # the nodal cubic y^2 z = x^3 + x^2 z, singular at (0:0:1)
+    X = plane_curve(p, {(0, 2, 1): 1, (3, 0, 0): -1, (2, 0, 1): -1})
+    node = proj_point(0, 0, 1, p)
+    pool = X.smooth_pool
+    assert X.smooth_pool is pool
+    assert pool == tuple(q for q in point_pool(X, 48) if not is_singular_point(X, q))
+    assert node not in pool
+    if p == P:
+        assert node in point_pool(X, 48)

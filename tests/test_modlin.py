@@ -110,3 +110,80 @@ def test_poly_roots_and_gcd():
     assert modlin.poly_gcd(poly, [1], p) == [1]
     with pytest.raises(DomainError):
         modlin.poly_roots([0, 0], p)
+
+
+def scan_roots(coeffs, p):
+    """The full scan that poly_roots replaced: Horner at every field element."""
+    xs = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, dtype=np.int64)
+    for c in reversed(list(coeffs)):
+        acc = (acc * xs + int(c) % p) % p
+    return [int(x) for x in np.nonzero(acc == 0)[0]]
+
+
+def poly_mul(u, v, p):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+def irreducible_quadratic(p):
+    """t^2 - n for a non-residue n, or t^2 + t + 1 over F_2."""
+    if p == 2:
+        return [1, 1, 1]
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    return [-n % p, 0, 1]
+
+
+ROOT_FIELDS = (2, 3, 5, 7, 101, 10007)
+
+
+@st.composite
+def factored_polys(draw):
+    """Products of linear factors (repeats and the root 0 included), of
+    irreducible quadratics, and a nonzero constant, or plain coefficients."""
+    p = draw(st.sampled_from(ROOT_FIELDS))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=12))
+        return p, coeffs
+    small = st.integers(0, min(p - 1, 4))
+    roots = draw(st.lists(st.one_of(small, st.integers(0, p - 1)), max_size=9))
+    poly = [draw(st.integers(1, p - 1))]
+    for r in roots:
+        poly = poly_mul(poly, [-r % p, 1], p)
+    for _ in range(draw(st.integers(0, 2))):
+        poly = poly_mul(poly, irreducible_quadratic(p), p)
+    return p, poly
+
+
+@settings(max_examples=400, deadline=None)
+@given(factored_polys())
+def test_poly_roots_match_a_full_scan(case):
+    p, coeffs = case
+    if not any(c % p for c in coeffs):
+        with pytest.raises(DomainError):
+            modlin.poly_roots(coeffs, p)
+        return
+    assert modlin.poly_roots(coeffs, p) == scan_roots(coeffs, p)
+
+
+def test_poly_roots_special_shapes():
+    for p in ROOT_FIELDS:
+        assert modlin.poly_roots([p - 1], p) == []
+        assert modlin.poly_roots([0, 0, 0, 1], p) == [0]
+        assert modlin.poly_roots(irreducible_quadratic(p), p) == []
+        assert modlin.poly_roots(poly_mul([0, 1], irreducible_quadratic(p), p), p) == [0]
+    # t^p - t vanishes on the whole field
+    assert modlin.poly_roots([0, -1] + [0] * 99 + [1], 101) == list(range(101))
+
+
+def test_poly_roots_at_a_large_prime():
+    p = 4294967311
+    assert modlin.poly_roots([6, -5, 1], p) == [2, 3]
+    roots = [0, 1, 2**31 + 7, p - 1]
+    poly = [1]
+    for r in roots + [p - 1]:  # p - 1 twice
+        poly = poly_mul(poly, [-r % p, 1], p)
+    assert modlin.poly_roots(poly_mul(poly, irreducible_quadratic(p), p), p) == roots

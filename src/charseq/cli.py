@@ -63,6 +63,7 @@ from .seqcalc import (
     separation_index,
     seq_included,
     validate_abs,
+    widths_from_entries,
 )
 
 
@@ -107,8 +108,6 @@ def _charseq_from_args(args, attr="seq") -> CharSeq:
 
 
 def _default_codim(entries) -> int:
-    from .seqcalc import widths_from_entries
-
     w = widths_from_entries(entries) if entries else ()
     return w[1] if len(w) > 1 and w[1] > 0 else 1
 
@@ -200,7 +199,7 @@ def _run_rcs(args) -> dict:
         return {"phi": phi_points(group, args.eval)}
     if curve is None:
         raise UsageError("measuring a relative sequence needs --curve")
-    return _rel_payload(measure_rcs(curve, group, max_scan=args.max_degree_scan))
+    return _rel_payload(measure_rcs(curve, group))
 
 
 def _run_rcs_random(args) -> dict:
@@ -393,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--section-by", dest="section_by")
     sp.add_argument("--allow-non-transverse", action="store_true", dest="allow_non_transverse")
     sp.add_argument("--out")
-    sp.add_argument("--max-degree-scan", type=int, dest="max_degree_scan")
     sp.set_defaults(handler=_dispatch_rcs)
 
     sp = sub.add_parser("link", help="liaison reflection of a relative sequence")
@@ -468,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_run_realize)
 
     sp = sub.add_parser("filtration", help="degree filtration and case-addition witnesses")
-    common(sp, seeded=True)
+    common(sp)
     sp.add_argument("--curve", required=True)
     sp.add_argument("--points", required=True)
     sp.add_argument("--t", type=int)

@@ -233,6 +233,8 @@ def _conic_block(X: PlaneCurve, k: int, seed: int) -> tuple[ProjPoint, ...]:
         usable = [q for q in common if not is_singular_point(X, q)]
         if len(usable) >= k:
             return tuple(sorted(usable[:k]))
+        if curves_through(X.p, 2, anchor).shape[0] == 1:
+            break  # the anchor pins the conic, so every retry meets X the same way
     # fall back to the anchor itself (five points always sit on a conic)
     return tuple(sorted(anchor[: min(k, 5)]))
 

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from . import modlin
+from .constructions import curve_from_vector, curves_through
 from .errors import DomainError, GeometryError
 from .liaison import RelCharSeq, _decompose, minimal_delta_seq, phi_rel, rel_degree
 from .pointlab import (
     PlaneCurve,
     PointGroup,
     dim_linear_system,
-    evaluation_matrix,
     measure_rcs,
     section_points,
 )
@@ -187,11 +186,9 @@ def classify_maximal(X: PlaneCurve, Y: PointGroup, seed: int = 0) -> MaxSysVerdi
 
 def _curve_through_group(X: PlaneCurve, Y: PointGroup, degree: int) -> PlaneCurve | None:
     """A degree-``degree`` curve through every point of Y, proper against X."""
-    from .constructions import curve_from_vector
-
     if degree < 1:
         return None
-    kernel = modlin.kernel_basis(evaluation_matrix(Y.points, degree, Y.p), Y.p)
+    kernel = curves_through(Y.p, degree, Y.points)
     if kernel.shape[0] == 0:
         return None
     # degree < deg X, so no kernel member can contain the (irreducible) curve
@@ -221,12 +218,10 @@ def find_contained_section(
         indices = [tuple(rng.sample(range(len(pts)), need)) for _ in range(max_trials)]
     target = set(Y.points)
     for subset in indices[:max_trials]:
-        chosen = [pts[i] for i in subset]
-        kernel = modlin.kernel_basis(evaluation_matrix(chosen, degree, Y.p), Y.p)
+        chosen = tuple(pts[i] for i in subset)
+        kernel = curves_through(Y.p, degree, chosen)
         if kernel.shape[0] != 1:
             continue
-        from .constructions import curve_from_vector
-
         try:
             candidate = curve_from_vector(X.p, degree, kernel[0])
             section = section_points(X, candidate, require_transverse=False)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import modlin
 from .errors import DomainError, GeometryError
-from .liaison import RelCharSeq
+from .liaison import RelCharSeq, rel_from_abs
 from .seqcalc import CharSeq, entries_from_widths, plane_curve_charseq
 
 SMALL_FIELD_SCAN = 101  # full P^2 enumeration is feasible up to here
@@ -239,6 +239,24 @@ class PointGroup:
 
     def coords_array(self) -> np.ndarray:
         return np.array([q.coords for q in self.points], dtype=np.int64).reshape(-1, 3)
+
+    @cached_property
+    def hilbert(self) -> tuple[int, ...]:
+        """phi_Y(0), ..., phi_Y(r), stopping at the first degree r where phi_Y = |Y|.
+
+        The Hilbert function of distinct points does not decrease and never
+        exceeds |Y|, so it stays at |Y| from r on; distinct points are
+        separated in degree |Y| - 1, which bounds the scan.
+        """
+        values = [phi_points(self, 0)]
+        while values[-1] < self.size:
+            if len(values) == self.size:
+                raise GeometryError(
+                    f"Hilbert function stops at {values[-1]} in degree {self.size - 1}, "
+                    f"below the group degree {self.size}"
+                )
+            values.append(phi_points(self, len(values)))
+        return tuple(values)
 
     def union(self, extra: Iterable[ProjPoint]) -> "PointGroup":
         return point_group(self.p, tuple(self.points) + tuple(extra), self.curve)
@@ -470,22 +488,16 @@ def point_pool(curve: PlaneCurve, size: int) -> tuple[ProjPoint, ...]:
 
 
 def random_points_on_curve(
-    curve: PlaneCurve,
-    count: int,
-    seed: int,
-    avoid_singular: bool = True,
-    avoid: Iterable[ProjPoint] = (),
+    curve: PlaneCurve, count: int, seed: int, avoid: Iterable[ProjPoint] = ()
 ) -> PointGroup:
-    """Deterministic sample of ``count`` distinct rational points on the curve."""
+    """Deterministic sample of ``count`` distinct smooth rational points on the curve."""
     if count < 0:
         raise DomainError("count must be >= 0")
     if count == 0:
         return point_group(curve.p, (), curve)
     pool = point_pool(curve, max(4 * count, 64))
     banned = set(avoid)
-    usable = [q for q in sorted(pool) if q not in banned]
-    if avoid_singular:
-        usable = [q for q in usable if not is_singular_point(curve, q)]
+    usable = [q for q in sorted(pool) if q not in banned and not is_singular_point(curve, q)]
     if len(usable) < count:
         raise GeometryError(
             f"insufficient rational points: need {count}, found {len(usable)} "
@@ -657,58 +669,23 @@ def _check_on_curve(X: PlaneCurve, Y: PointGroup):
             raise DomainError(f"point {q.coords} does not lie on the curve")
 
 
-def measure_rcs(X: PlaneCurve, Y: PointGroup, max_scan: int | None = None) -> RelCharSeq:
-    """Measure the relative characteristic sequence of Y on the plane curve X.
-
-    The deficiency psi(l) = phi_X(l) - phi_Y(l) is scanned until its second
-    difference stabilizes; the widths of (n_i) are exactly those second
-    differences.  A scan that does not stabilize inside the window signals a
-    non-reduced input or a bug.
-    """
+def measure_rcs(X: PlaneCurve, Y: PointGroup) -> RelCharSeq:
+    """Measure the relative characteristic sequence of Y on the plane curve X:
+    the measured absolute sequence of Y read over X through ``rel_from_abs``,
+    which rejects a pair no relative sequence accounts for."""
     _check_on_curve(X, Y)
-    d = X.degree
-    cap = max_scan if max_scan is not None else d + Y.size + 2
-    psi_prev2 = psi_prev = 0
-    widths: list[int] = []
-    total = 0
-    for l in range(cap + 1):
-        psi = phi_plane_curve(d, l) - phi_points(Y, l)
-        w = psi - 2 * psi_prev + psi_prev2
-        if w < 0:
-            raise GeometryError(f"negative width at degree {l}: input is not a reduced group on X")
-        widths.append(w)
-        total = psi - psi_prev  # running count of entries <= l
-        psi_prev2, psi_prev = psi_prev, psi
-        if total == d and w == 0:
-            break
-    else:
-        raise GeometryError(
-            f"non-stabilizing scan up to degree {cap}; raise max_scan or check the input"
-        )
-    entries = entries_from_widths(widths)
-    if sum(n - i for i, n in enumerate(entries)) != Y.size:
-        raise GeometryError("measured sequence does not account for the group degree")
-    return RelCharSeq(entries, plane_curve_charseq(d))
+    return rel_from_abs(plane_curve_charseq(X.degree), measure_abs(Y, codim=2))
 
 
-def measure_abs(Y: PointGroup, codim: int | None = None, max_scan: int | None = None) -> CharSeq:
+def measure_abs(Y: PointGroup, codim: int | None = None) -> CharSeq:
     """Measure the absolute characteristic sequence of a reduced point group.
 
     Widths are the first differences of the Hilbert function.  ``codim``
     defaults to the codimension of the group inside its linear span, so
     aligned groups come out with codim 1 and validate cleanly.
     """
-    if Y.size == 0:
-        return CharSeq((), 1, codim if codim is not None else 1)
-    cap = max_scan if max_scan is not None else Y.size + 2
-    values = []
-    for l in range(cap + 1):
-        values.append(phi_points(Y, l))
-        if values[-1] == Y.size:
-            break
-    else:
-        raise GeometryError("Hilbert function did not reach the group degree; input not reduced?")
-    widths = [values[0]] + [values[i] - values[i - 1] for i in range(1, len(values))]
+    values = Y.hilbert
+    widths = [b - a for a, b in zip((0,) + values, values)]
     if codim is None:
         codim = max(span_rank(Y) - 1, 1)
     return CharSeq(entries_from_widths(widths), 1, codim)

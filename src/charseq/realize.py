@@ -14,8 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from . import modlin
-from .constructions import fold_seed, split_section
+from .constructions import curve_from_vector, curves_through, fold_seed, split_section
 from .errors import DomainError, GeometryError
 from .liaison import RelCharSeq, minimal_delta_seq, phi_rel
 from .pointlab import (
@@ -29,6 +28,7 @@ from .pointlab import (
     point_pool,
     random_points_on_curve,
     rational_points,
+    section_points,
 )
 
 
@@ -38,10 +38,6 @@ def is_admissible(seq: Sequence[int]) -> bool:
     if any(n < i for i, n in enumerate(entries)):
         return False
     return all(a <= b <= a + 1 for a, b in zip(entries, entries[1:]))
-
-
-def seq_degree(seq: Sequence[int]) -> int:
-    return sum(n - i for i, n in enumerate(seq))
 
 
 def add_case(rel: RelCharSeq, level: int) -> RelCharSeq:
@@ -96,7 +92,7 @@ def filtration_points(
         return ()
     if t < 0:
         return _candidate_points(X, candidates, allow_pool)
-    kernel = modlin.kernel_basis(evaluation_matrix(Y.points, t, Y.p), Y.p)
+    kernel = curves_through(Y.p, t, Y.points)
     if kernel.shape[0] == 0:
         return _candidate_points(X, candidates, allow_pool)
     base = None
@@ -121,9 +117,6 @@ def _filter_by_kernel(points, kernel, t: int, p: int) -> tuple[ProjPoint, ...]:
 def _kernel_section(X: PlaneCurve, kernel, t: int) -> tuple[ProjPoint, ...] | None:
     """Rational points of X on some kernel form, exactly; None when every
     kernel form vanishes on all of X."""
-    from .constructions import curve_from_vector
-    from .pointlab import section_points
-
     for row in kernel:
         try:
             g = curve_from_vector(X.p, t, row)

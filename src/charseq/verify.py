@@ -37,9 +37,11 @@ from .pointlab import (
     PlaneCurve,
     PointGroup,
     dim_linear_system,
+    intersect_curves,
     measure_abs,
     measure_rcs,
     point_group,
+    point_pool,
     proj_point,
     random_points_on_curve,
     span_rank,
@@ -209,8 +211,6 @@ def _lines_in_general_position(p: int, k: int, seed: int) -> PlaneCurve:
 
 
 def check_complete_intersections(p: int = VERIFY_MODULUS) -> CheckResult:
-    from .pointlab import intersect_curves
-
     cases = []
     for d1 in range(2, 5):
         for d2 in range(d1, 5):
@@ -429,8 +429,6 @@ def check_linear_systems(p: int = VERIFY_MODULUS) -> CheckResult:
 
 
 def check_sextic_remark(p: int = VERIFY_MODULUS) -> CheckResult:
-    from .pointlab import point_pool
-
     cfg = sextic_with_marked_sections(p, seed=0)
     X = cfg.curve
     special = set(cfg.line_points) | set(cfg.conic_points)

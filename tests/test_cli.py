@@ -250,6 +250,13 @@ def test_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["halphen", "--alpha", "6", "--d", "3", "--modulus", "101"])
     assert exc.value.code == 2  # the modulus comes from the files, not a flag
+    for removed in (
+        ["rcs", "--curve", "q.txt", "--points", "y.txt", "--max-degree-scan", "5"],
+        ["filtration", "--curve", "q.txt", "--points", "y.txt", "--t", "1", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(removed)
+        assert exc.value.code == 2
     capsys.readouterr()
 
 

@@ -1,9 +1,13 @@
 """The geometry engine: evaluation ranks, measurement, sections, filtrations."""
 
+import random
+
 import pytest
 
+from charseq import constructions
 from charseq.constructions import (
     aligned_points_on_curve,
+    curves_through,
     fermat_curve,
     line_through,
     multiply_curves,
@@ -101,6 +105,22 @@ def test_measure_abs_examples(quartic_big):
     seq = measure_abs(aligned)
     assert seq.entries == (0, 1, 2, 3)
     assert seq.codim == 1  # span is a line
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_conic_block_stops_once_its_conic_is_pinned(quartic_big, monkeypatch, seed):
+    # Five anchors fixing the conic: every retry would meet X in the same
+    # points, so one intersection decides between a block and the anchors.
+    X = quartic_big
+    calls = []
+    intersect = constructions.intersect_curves
+    monkeypatch.setattr(
+        constructions, "intersect_curves", lambda *a, **k: calls.append(1) or intersect(*a, **k)
+    )
+    anchor = random_points_on_curve(X, 5, random.Random(seed).randrange(2**30)).points
+    assert curves_through(P, 2, anchor).shape[0] == 1
+    assert constructions._conic_block(X, 6, seed) == tuple(sorted(anchor))
+    assert len(calls) == 1
 
 
 def test_measure_rcs_examples(quartic_big):

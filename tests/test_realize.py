@@ -19,9 +19,13 @@ from charseq.realize import (
     filtration_points,
     is_admissible,
     realize,
-    seq_degree,
 )
 from charseq.seqcalc import plane_curve_charseq
+
+
+def seq_degree(seq) -> int:
+    """Degree of the group a plane relative sequence describes: sum(n_i - i)."""
+    return sum(n - i for i, n in enumerate(seq))
 
 
 @pytest.mark.parametrize(

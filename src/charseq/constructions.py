@@ -32,6 +32,7 @@ from .pointlab import (
     plane_curve,
     point_group,
     point_pool,
+    proj_point,
     random_points_on_curve,
     random_proj_point,
 )
@@ -84,7 +85,7 @@ def random_curve_through(
     rng = random.Random(seed)
     for _ in range(64):
         combo = np.array([rng.randrange(p) for _ in range(basis.shape[0])], dtype=np.int64)
-        vec = (combo @ basis) % p
+        vec = modlin.matmul(combo, basis, p)
         if np.any(vec):
             return curve_from_vector(p, d, vec)
     raise GeometryError("could not draw a nonzero curve from the kernel")
@@ -121,8 +122,10 @@ def split_line(
     if len(pool) < 2:
         raise GeometryError("not enough smooth rational points to anchor a line")
     rng = random.Random(seed)
+    lines = set()
     for _ in range(tries):
         a, b = rng.sample(pool, 2)
+        lines.add(proj_point(*cross(a.coords, b.coords, X.p), X.p))
         pts = line_points_on_curve(X, a, b)
         if len(pts) != d:
             continue
@@ -133,7 +136,11 @@ def split_line(
         if not meets_transversally(X, line, pts):
             continue
         return line, pts
-    raise GeometryError(f"no fully split line found on this degree-{d} curve; try another seed")
+    raise GeometryError(
+        f"no fully split line found on this degree-{d} curve in {tries} tries: "
+        f"{len(lines)} distinct lines through pairs of its {len(pool)} smooth pool points; "
+        "try another seed"
+    )
 
 
 def split_section(

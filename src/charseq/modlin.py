@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import DomainError
 
+_INT64_MAX = 2**63 - 1
+
 
 def as_matrix(rows, p: int) -> np.ndarray:
     a = np.asarray(rows, dtype=np.int64)
@@ -45,6 +47,28 @@ def rref(matrix, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def matmul(a, b, p: int) -> np.ndarray:
+    """The product a @ b mod p, exact in int64 wherever ``rref`` is.
+
+    The inner sum runs in chunks of at most (2^63 - 1 - p) / (p - 1)^2
+    terms, reduced after each chunk, so no partial sum overflows; past
+    that bound not even one product of residues fits, and DomainError is
+    raised instead of a wrapped result.
+    """
+    a = np.mod(np.asarray(a, dtype=np.int64), p)
+    b = np.mod(np.asarray(b, dtype=np.int64), p)
+    step = (_INT64_MAX - p) // (p - 1) ** 2
+    if step < 1:
+        raise DomainError(f"modulus {p} is too large for exact int64 products")
+    inner = a.shape[-1]
+    if inner <= step:
+        return (a @ b) % p
+    acc = (a[..., :step] @ b[:step]) % p
+    for start in range(step, inner, step):
+        acc = (acc + a[..., start : start + step] @ b[start : start + step]) % p
+    return acc
 
 
 def rank(matrix, p: int) -> int:
@@ -100,13 +124,6 @@ def poly_trim(coeffs: list[int]) -> list[int]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
-
-
-def poly_eval(coeffs, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def poly_roots(coeffs, p: int) -> list[int]:

@@ -13,9 +13,10 @@ import random
 import zlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import count
 from math import comb
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -182,13 +183,6 @@ def meets_transversally(X: PlaneCurve, H: PlaneCurve, pts: Iterable[ProjPoint]) 
     return all(any(cross(gradient_at(X, q), gradient_at(H, q), X.p)) for q in pts)
 
 
-def tangent_line(curve: PlaneCurve, q: ProjPoint) -> PlaneCurve:
-    gx, gy, gz = gradient_at(curve, q)
-    if (gx, gy, gz) == (0, 0, 0):
-        raise DomainError("no tangent line at a singular point")
-    return plane_curve(curve.p, {(1, 0, 0): gx, (0, 1, 0): gy, (0, 0, 1): gz})
-
-
 def substitute_linear(curve: PlaneCurve, matrix: Sequence[Sequence[int]]) -> PlaneCurve:
     """The form v -> f(M v) for a 3x3 matrix M over F_p."""
     p = curve.p
@@ -244,22 +238,78 @@ class PointGroup:
     def hilbert(self) -> tuple[int, ...]:
         """phi_Y(0), ..., phi_Y(r), stopping at the first degree r where phi_Y = |Y|.
 
+        One forward elimination over the nested spans of ``_nested_spans``
+        gives every value.  Only a group that no line of ``_free_line``
+        avoids takes one ``phi_points`` rank per degree; that is certain
+        when the group meets every line, which needs |Y| > p.
         The Hilbert function of distinct points does not decrease and never
         exceeds |Y|, so it stays at |Y| from r on; distinct points are
         separated in degree |Y| - 1, which bounds the scan.
         """
-        values = [phi_points(self, 0)]
-        while values[-1] < self.size:
+        coords = self.coords_array()
+        form = _free_line(coords, self.p)
+        if form is None:
+            scan = (phi_points(self, l) for l in count())
+        else:
+            scan = _nested_spans(coords, form, self.p)
+        values: list[int] = []
+        for value in scan:
+            values.append(value)
+            if value == self.size:
+                return tuple(values)
             if len(values) == self.size:
                 raise GeometryError(
-                    f"Hilbert function stops at {values[-1]} in degree {self.size - 1}, "
+                    f"Hilbert function stops at {value} in degree {self.size - 1}, "
                     f"below the group degree {self.size}"
                 )
-            values.append(phi_points(self, len(values)))
-        return tuple(values)
 
     def union(self, extra: Iterable[ProjPoint]) -> "PointGroup":
         return point_group(self.p, tuple(self.points) + tuple(extra), self.curve)
+
+
+_LINE_BATCH = 64
+
+
+def _free_line(coords: np.ndarray, p: int) -> np.ndarray | None:
+    """Coefficients of a linear form that vanishes at no row of ``coords``:
+    the first of z, y, x that does, else the first of a seeded batch of
+    lines, else None (certain when the points meet every line)."""
+    for var in (2, 1, 0):
+        if np.all(coords[:, var] != 0):
+            return np.eye(3, dtype=np.int64)[var]
+    rng = random.Random(p)
+    lines = np.array(
+        [[rng.randrange(p) for _ in range(_LINE_BATCH)] for _ in range(3)], dtype=np.int64
+    )
+    free = np.all(modlin.matmul(coords, lines, p) != 0, axis=0)
+    return lines[:, int(np.argmax(free))] if free.any() else None
+
+
+def _nested_spans(coords: np.ndarray, form: np.ndarray, p: int) -> Iterator[int]:
+    """phi(0), phi(1), ... of the points ``coords``, given a linear form L
+    vanishing at none of them (Buchberger-Moeller).
+
+    Scaled by 1/L(q)^l, the degree-l evaluation vectors are the monomials at
+    v = q / L(q); as L(v) = 1 their spans S_l are nested, and S_(l+1) is S_l
+    plus v_j * r for j = 0, 1, 2 and every row r new at level l, since
+    v_j * S_(l-1) lies in S_l already.  The new rows are in reduced echelon
+    form and vanish at every earlier pivot column, and so do their
+    multiples.  Reduced against level l's rows alone, the candidates
+    therefore vanish at every pivot column so far, which makes the rank of
+    what is left the number of new dimensions; no earlier row is kept.
+    """
+    n = coords.shape[0]
+    inverse = np.array([pow(int(w), -1, p) for w in modlin.matmul(coords, form, p)], dtype=np.int64)
+    v = coords * inverse.reshape(-1, 1) % p
+    value = 0
+    candidates = np.ones((1, n), dtype=np.int64)  # S_0 = span(1)
+    while True:
+        reduced, pivots = modlin.rref(candidates, p)
+        reduced = reduced[: len(pivots)]
+        value += len(pivots)
+        yield value
+        candidates = (v.T[:, None, :] * reduced[None, :, :] % p).reshape(-1, n)
+        candidates = (candidates - modlin.matmul(candidates[:, pivots], reduced, p)) % p
 
 
 def point_group(p: int, points: Iterable[ProjPoint], curve: PlaneCurve | None = None) -> PointGroup:
@@ -344,10 +394,9 @@ def phi_plane_curve(d: int, l: int) -> int:
 
 
 def span_rank(group: PointGroup) -> int:
-    """Rank of the coordinate matrix: 1 + projective dimension of the span."""
-    if group.size == 0:
-        return 0
-    return modlin.rank(group.coords_array(), group.p)
+    """Rank of the coordinate matrix, 1 + projective dimension of the span:
+    phi_Y(1), as the degree-1 evaluation matrix is the coordinate matrix."""
+    return (group.hilbert + (group.size,))[1]
 
 
 # --- rational points: exact scan for small fields, cached sampling above ---
@@ -392,17 +441,8 @@ def _curve_seed(curve: PlaneCurve) -> int:
     return zlib.crc32(repr(curve.terms).encode())
 
 
-def line_span_points(p: int, a: ProjPoint, b: ProjPoint) -> np.ndarray:
-    """Coordinates of all p+1 points of the line through two independent points."""
-    av = np.array(a.coords, dtype=np.int64)
-    bv = np.array(b.coords, dtype=np.int64)
-    ts = np.arange(p, dtype=np.int64).reshape(-1, 1)
-    rows = (av.reshape(1, 3) + ts * bv.reshape(1, 3)) % p
-    return np.vstack([rows, bv.reshape(1, 3)])
-
-
 def line_point(a: ProjPoint, b: ProjPoint, t: int, p: int) -> ProjPoint:
-    """Row t of ``line_span_points``: a + t*b for t < p, and b for t = p."""
+    """Point t of the line through a and b: a + t*b for t < p, and b for t = p."""
     if t == p:
         return b
     return proj_point(*(u + t * v for u, v in zip(a.coords, b.coords)), p)
@@ -610,10 +650,9 @@ def intersect_curves(f: PlaneCurve, h: PlaneCurve, seed: int = 0) -> tuple[ProjP
         found.add(q)
 
     if matrix is not None:
-        mat = np.array(matrix, dtype=np.int64)
         mapped = set()
         for q in found:
-            v = (mat @ np.array(q.coords, dtype=np.int64)) % p
+            v = modlin.matmul(matrix, q.coords, p)
             mapped.add(proj_point(int(v[0]), int(v[1]), int(v[2]), p))
         found = mapped
     for q in found:

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from . import modlin
 from .constructions import curve_from_vector, curves_through, fold_seed, split_section
 from .errors import DomainError, GeometryError
 from .liaison import RelCharSeq, minimal_delta_seq, phi_rel
@@ -110,7 +111,7 @@ def _filter_by_kernel(points, kernel, t: int, p: int) -> tuple[ProjPoint, ...]:
     if not pts:
         return ()
     values = evaluation_matrix(pts, t, p)
-    hits = (values @ kernel.T) % p
+    hits = modlin.matmul(values, kernel.T, p)
     return tuple(q for q, row in zip(pts, hits) if not row.any())
 
 

@@ -18,7 +18,7 @@ from charseq.liaison import minimal_delta_seq, phi_rel, rel_degree, split_on_gap
 from charseq.linsys import classify_equal_phi
 from charseq.errors import DomainError
 from charseq.pointlab import (
-    line_span_points,
+    line_point,
     measure_abs,
     measure_rcs,
     phi_points,
@@ -48,11 +48,8 @@ def reducible_quartic():
     )
     a = proj_point(*(int(v) for v in basis[0]), P)
     b = proj_point(*(int(v) for v in basis[1]), P)
-    coords = line_span_points(P, a, b)
     line_pool = tuple(
-        q
-        for q in (proj_point(*(int(v) for v in r), P) for r in coords[:60])
-        if q not in set(crossings)
+        q for q in (line_point(a, b, t, P) for t in range(60)) if q not in set(crossings)
     )
     return X, line, cubic, line_pool, crossings
 

@@ -3,6 +3,7 @@ paths against plain brute-force oracles written out here."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,6 @@ from charseq.pointlab import (
     is_singular_point,
     line_point,
     line_points_on_curve,
-    line_span_points,
     meets_transversally,
     plane_curve,
     point_pool,
@@ -27,6 +27,16 @@ from charseq.pointlab import (
 from charseq.verify import corpus_curve
 
 P = 101
+
+
+def line_span_points(p, a, b):
+    """Coordinates of all p+1 points of the line through two independent
+    points: a + t*b for t < p, then b."""
+    av = np.array(a.coords, dtype=np.int64)
+    bv = np.array(b.coords, dtype=np.int64)
+    ts = np.arange(p, dtype=np.int64).reshape(-1, 1)
+    rows = (av.reshape(1, 3) + ts * bv.reshape(1, 3)) % p
+    return np.vstack([rows, bv.reshape(1, 3)])
 
 
 def brute_gradient(curve, q):
@@ -225,3 +235,16 @@ def test_smooth_pool_is_built_once_per_curve(p):
     assert node not in pool
     if p == P:
         assert node in point_pool(X, 48)
+
+
+def test_split_line_exhaustion_says_what_it_tried():
+    X = corpus_curve(P, 7)  # no line meets it in seven rational points
+    pool = X.smooth_pool
+    rng = random.Random(0)
+    drawn = set()
+    for _ in range(60):
+        line = line_through(P, *rng.sample(pool, 2))
+        drawn.add(frozenset(q for q in pool if line.contains(q)))
+    message = f"in 60 tries: {len(drawn)} distinct lines through pairs of its {len(pool)} smooth"
+    with pytest.raises(GeometryError, match=message):
+        split_line(X, seed=0, tries=60)

@@ -1,16 +1,22 @@
 """Differential tests: the one Hilbert function a point group carries, and the
-two measurements read from it, against the two rank scans it replaced,
+two measurements read from it, against the rank scans they replaced,
 which are written out here as oracles."""
 
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from charseq import modlin
-from charseq.constructions import aligned_points_on_curve, random_smooth_curve, split_section
+from charseq import modlin, pointlab
+from charseq.constructions import (
+    aligned_points_on_curve,
+    random_smooth_curve,
+    split_line,
+    split_section,
+)
 from charseq.errors import GeometryError
 from charseq.pointlab import (
     measure_abs,
@@ -18,9 +24,25 @@ from charseq.pointlab import (
     phi_plane_curve,
     phi_points,
     point_group,
+    proj_point,
     random_points_on_curve,
+    span_rank,
 )
 from charseq.seqcalc import entries_from_widths, plane_curve_charseq
+
+
+def scan_hilbert(Y):
+    """phi_Y(0), ..., phi_Y(r) by one evaluation-matrix rank per degree,
+    stopping at the first degree where phi_Y = |Y|."""
+    values = [phi_points(Y, 0)]
+    while values[-1] < Y.size:
+        if len(values) == Y.size:
+            raise GeometryError(
+                f"Hilbert function stops at {values[-1]} in degree {Y.size - 1}, "
+                f"below the group degree {Y.size}"
+            )
+        values.append(phi_points(Y, len(values)))
+    return tuple(values)
 
 
 def scan_rcs(X, Y):
@@ -71,11 +93,15 @@ def curve(p, d, k):
 
 def make_group(X, style, size, seed):
     """A group of about ``size`` smooth points of X: generic, with a collinear
-    block, or containing a full section of degree 1 or 2."""
+    block, or containing a full section of degree 1 or 2 (of degree 1 on
+    curves of degree 7 and 8, where fully split lines are rare and
+    ``split_section``'s 40 attempts take seconds to give up)."""
     if style == "generic":
         return random_points_on_curve(X, size, seed)
     if style == "aligned":
         block = aligned_points_on_curve(X, min(X.degree, size), seed) if size else ()
+    elif X.degree > 6:
+        _, block = split_line(X, seed)
     else:
         _, block = split_section(X, 1 + seed % 2, seed)
     rest = random_points_on_curve(X, max(size - len(block), 0), seed + 1, avoid=block)
@@ -83,13 +109,13 @@ def make_group(X, style, size, seed):
 
 
 @st.composite
-def groups(draw):
+def groups(draw, max_degree=6, max_size=25):
     p = draw(st.sampled_from((101, 10007)))
-    d = draw(st.integers(min_value=1, max_value=6))
+    d = draw(st.integers(min_value=1, max_value=max_degree))
     style = draw(st.sampled_from(("generic", "aligned", "section")))
     assume(not (style == "section" and d == 1))  # a line has no line section
     X = curve(p, d, draw(st.integers(min_value=0, max_value=1)))
-    size = draw(st.integers(min_value=0, max_value=25))
+    size = draw(st.integers(min_value=0, max_value=max_size))
     try:
         Y = make_group(X, style, size, draw(st.integers(min_value=0, max_value=10**6)))
     except GeometryError:
@@ -109,55 +135,113 @@ def test_measurements_match_the_old_scans(case):
     assert (seq.cone_dim, seq.d) == (1, Y.size)
 
 
-@settings(max_examples=40, deadline=None)
-@given(groups())
+@settings(max_examples=60, deadline=None)
+@given(groups(max_degree=8, max_size=40))
 def test_hilbert_is_the_rank_scan_up_to_saturation(case):
     _, Y = case
     values = Y.hilbert
-    assert values == tuple(phi_points(Y, l) for l in range(len(values)))
+    assert values == scan_hilbert(Y)
     assert values[-1] == Y.size and all(v < Y.size for v in values[:-1])
     r = len(values) - 1
     assert phi_points(Y, r + 1) == phi_points(Y, r + 2) == Y.size
+    assert span_rank(Y) == (modlin.rank(Y.coords_array(), Y.p) if Y.size else 0)
+
+
+def plane(p):
+    """Every point of P^2(F_p)."""
+    return sorted({proj_point(*v, p) for v in product(range(p), repeat=3) if any(v)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.randoms(use_true_random=False))
+def test_hilbert_of_any_point_set_over_a_small_field(p, rng):
+    pts = plane(p)
+    Y = point_group(p, rng.sample(pts, rng.randrange(len(pts) + 1)))
+    assert Y.hilbert == scan_hilbert(Y)
+
+
+def forced_group(p, branch):
+    """A group whose linear form must be y, x, a line of the seeded batch,
+    or none at all (the fallback)."""
+    pts = plane(p)
+    if branch == "y":  # z vanishes at (1, 1, 0), y nowhere
+        return [q for q in pts if q.coords[1] and q.coords[2]][-3:] + [proj_point(1, 1, 0, p)]
+    if branch == "x":  # y and z vanish at (1, 0, 0), x nowhere
+        return [q for q in pts if q.coords[0]][:4]
+    if branch == "seeded":  # a point on each coordinate line
+        return [proj_point(1, 0, 0, p), proj_point(0, 1, 0, p), proj_point(0, 0, 1, p)]
+    # every line meets a full line, here z = 0, so no line avoids the group
+    return [q for q in pts if q.coords[2] == 0] + [q for q in pts if q.coords[2]][:2]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@pytest.mark.parametrize("branch", ("y", "x", "seeded", "fallback"))
+def test_each_choice_of_the_linear_form(p, branch):
+    Y = point_group(p, forced_group(p, branch))
+    form = pointlab._free_line(Y.coords_array(), p)
+    if branch == "fallback":
+        assert form is None
+    elif branch == "seeded":
+        assert form is not None and form.tolist().count(0) < 2
+    else:
+        assert form.tolist() == {"y": [0, 1, 0], "x": [1, 0, 0]}[branch]
+    with counted("rank") as ranks:
+        values = Y.hilbert
+    assert values == scan_hilbert(Y)
+    assert len(ranks) == (len(values) if branch == "fallback" else 0)
 
 
 @contextmanager
-def counted_ranks():
-    """The shapes of the matrices ``modlin.rank`` is called on inside the block."""
+def counted(name):
+    """The shapes of the matrices ``modlin.<name>`` is called on inside the block."""
     shapes = []
-    rank = modlin.rank
+    original = getattr(modlin, name)
 
     def counting(matrix, p):
         shapes.append(matrix.shape)
-        return rank(matrix, p)
+        return original(matrix, p)
 
-    modlin.rank = counting
+    setattr(modlin, name, counting)
     try:
         yield shapes
     finally:
-        modlin.rank = rank
+        setattr(modlin, name, original)
 
 
 @settings(max_examples=30, deadline=None)
 @given(groups())
-def test_one_rank_per_degree_and_none_after(case):
+def test_measure_rcs_then_measure_abs_run_one_elimination(case):
     X, Y = case
-    with counted_ranks() as shapes:
+    with counted("rank") as ranks, counted("rref") as rrefs:
         measure_rcs(X, Y)
-    assert len(shapes) == (len(Y.hilbert) if Y.size else 0)
-    with counted_ranks() as shapes:
         measure_abs(Y, codim=2)
-    assert shapes == []
-    with counted_ranks() as shapes:
-        measure_abs(Y)  # the default codim costs one rank, of the coordinates
-    assert shapes == ([(Y.size, 3)] if Y.size else [])
+        measure_abs(Y)  # the default codim reads phi_Y(1)
+    assert ranks == []
+    # level 0 eliminates the constant 1; level l + 1 the multiples of each
+    # vector new at level l by the three coordinates
+    new = [b - a for a, b in zip((0,) + Y.hilbert, Y.hilbert)]
+    assert rrefs == [(rows, Y.size) for rows in [1] + [3 * k for k in new[:-1]]]
 
 
 def test_a_scan_short_of_the_group_degree_raises(monkeypatch):
-    # A rank that comes out too small (as an overflowing one can) must stop
-    # the measurement instead of turning into a wrong sequence.
+    # An elimination that loses a pivot (as an overflowing one can) must
+    # stop the measurement instead of turning into a wrong sequence.
     X = curve(10007, 4, 0)
     Y = random_points_on_curve(X, 9, seed=2)
+    rref = modlin.rref
+
+    def dropping(matrix, p):
+        reduced, pivots = rref(matrix, p)
+        return reduced, pivots[:-1]
+
+    monkeypatch.setattr(modlin, "rref", dropping)
+    with pytest.raises(GeometryError, match="below the group degree"):
+        measure_rcs(X, Y)
+
+
+def test_a_fallback_scan_short_of_the_group_degree_raises(monkeypatch):
+    Y = point_group(5, forced_group(5, "fallback"))
     rank = modlin.rank
     monkeypatch.setattr(modlin, "rank", lambda matrix, p: min(rank(matrix, p), Y.size - 1))
     with pytest.raises(GeometryError, match="below the group degree"):
-        measure_rcs(X, Y)
+        measure_abs(Y)

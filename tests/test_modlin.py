@@ -14,6 +14,14 @@ from charseq.errors import DomainError
 P = 10007
 
 
+def poly_eval(coeffs, x, p):
+    """Horner evaluation of a coefficient list, lowest degree first."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
 def minor_rank(matrix, p):
     """Rank by exhaustive minors: the largest k with a nonzero k x k minor."""
     a = [[x % p for x in row] for row in matrix]
@@ -67,6 +75,37 @@ def test_kernel_is_exact_nullspace():
             assert modlin.rank(basis, p) == basis.shape[0]
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from((101, 10007, 2147483647)),
+    st.integers(0, 4),
+    st.integers(0, 12),
+    st.integers(0, 4),
+    st.randoms(use_true_random=False),
+)
+def test_matmul_matches_python_integers(p, n, k, m, rng):
+    # near the top of the field, so that long sums overflow int64 unless chunked
+    draw = lambda: rng.choice((rng.randrange(p), p - 1 - rng.randrange(3)))
+    a = [[draw() for _ in range(k)] for _ in range(n)]
+    b = [[draw() for _ in range(m)] for _ in range(k)]
+    expected = [[sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(m)] for i in range(n)]
+    got = modlin.matmul(
+        np.array(a, dtype=np.int64).reshape(n, k), np.array(b, dtype=np.int64).reshape(k, m), p
+    )
+    assert got.shape == (n, m) and got.tolist() == expected
+
+
+def test_matmul_at_the_int64_limit():
+    p = 2147483647
+    a = np.full((2, 3), p - 1, dtype=np.int64)
+    b = np.full((3, 2), p - 1, dtype=np.int64)
+    assert ((a @ b) % p).tolist() != [[3, 3], [3, 3]]  # plain int64 wraps around
+    assert modlin.matmul(a, b, p).tolist() == [[3, 3], [3, 3]]
+    assert modlin.matmul(a, [p - 1, 2, 0], p).tolist() == [p - 1, p - 1]  # a vector on the right
+    with pytest.raises(DomainError):
+        modlin.matmul(a, b, 4294967311)
+
+
 def test_det_matches_cofactor_expansion():
     rng = random.Random(5)
     for _ in range(30):
@@ -94,7 +133,7 @@ def test_det_matches_cofactor_expansion():
 @settings(max_examples=100)
 def test_interpolation_recovers_polynomials(coeffs):
     nodes = list(range(len(coeffs)))
-    values = [modlin.poly_eval(coeffs, x, P) for x in nodes]
+    values = [poly_eval(coeffs, x, P) for x in nodes]
     got = modlin.interpolate(nodes, values, P)
     assert got == modlin.poly_trim(list(coeffs))
 

@@ -18,6 +18,7 @@ from charseq.errors import DomainError, GeometryError
 from charseq.liaison import abs_from_rel, rel_degree
 from charseq.pointlab import (
     dim_linear_system,
+    gradient_at,
     intersect_curves,
     is_singular_point,
     load_curve,
@@ -35,10 +36,16 @@ from charseq.pointlab import (
     save_curve,
     save_points,
     section_points,
-    tangent_line,
 )
 
 P = 10007
+
+
+def tangent_line(curve, q):
+    """The tangent line of the curve at a smooth point q."""
+    gx, gy, gz = gradient_at(curve, q)
+    assert (gx, gy, gz) != (0, 0, 0), "no tangent line at a singular point"
+    return plane_curve(curve.p, {(1, 0, 0): gx, (0, 1, 0): gy, (0, 0, 1): gz})
 
 
 def test_proj_point_normalization():

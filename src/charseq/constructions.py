@@ -24,6 +24,7 @@ from .pointlab import (
     evaluation_matrix,
     intersect_curves,
     is_singular_point,
+    line_coefficients,
     line_point,
     line_points_on_curve,
     meets_transversally,
@@ -91,26 +92,28 @@ def random_curve_through(
     raise GeometryError("could not draw a nonzero curve from the kernel")
 
 
-def random_smooth_curve(p: int, d: int, seed: int, samples: int = 16) -> PlaneCurve:
+SMOOTH_SAMPLES = 16  # pool points random_smooth_curve checks
+SPLIT_LINE_TRIES = 400  # lines split_line draws before it gives up
+
+
+def random_smooth_curve(p: int, d: int, seed: int) -> PlaneCurve:
     """A random degree-d curve whose sampled rational points are all smooth.
 
-    Smoothness is checked at up to ``samples`` pool points (nonvanishing
+    Smoothness is checked at up to SMOOTH_SAMPLES pool points (nonvanishing
     partials), which is the working notion of a smooth irreducible member
-    here; curves with no rational points or a singular sample are redrawn.
+    here; curves with fewer than four rational points or a singular sample
+    are redrawn.
     """
     for attempt in range(64):
         curve = random_curve_through(p, d, (), seed * 64 + attempt)
-        pool = point_pool(curve, samples)
-        if len(pool) < min(samples, 4):
-            continue
-        if any(is_singular_point(curve, q) for q in pool[:samples]):
-            continue
-        return curve
+        pool = point_pool(curve, SMOOTH_SAMPLES)
+        if len(pool) >= 4 and all(curve.pool.smooth[q] for q in pool[:SMOOTH_SAMPLES]):
+            return curve
     raise GeometryError(f"no smooth-looking degree-{d} curve found over p={p}")
 
 
 def split_line(
-    X: PlaneCurve, seed: int, avoid: frozenset[ProjPoint] = frozenset(), tries: int = 400
+    X: PlaneCurve, seed: int, avoid: frozenset[ProjPoint] = frozenset()
 ) -> tuple[PlaneCurve, tuple[ProjPoint, ...]]:
     """A line meeting X in deg(X) distinct smooth rational points, none in ``avoid``.
 
@@ -123,7 +126,7 @@ def split_line(
         raise GeometryError("not enough smooth rational points to anchor a line")
     rng = random.Random(seed)
     lines = set()
-    for _ in range(tries):
+    for _ in range(SPLIT_LINE_TRIES):
         a, b = rng.sample(pool, 2)
         lines.add(proj_point(*cross(a.coords, b.coords, X.p), X.p))
         pts = line_points_on_curve(X, a, b)
@@ -137,7 +140,7 @@ def split_line(
             continue
         return line, pts
     raise GeometryError(
-        f"no fully split line found on this degree-{d} curve in {tries} tries: "
+        f"no fully split line found on this degree-{d} curve in {SPLIT_LINE_TRIES} tries: "
         f"{len(lines)} distinct lines through pairs of its {len(pool)} smooth pool points; "
         "try another seed"
     )
@@ -180,11 +183,12 @@ def split_section(
 
 
 def _lines_cross_on_curve(X: PlaneCurve, lines) -> bool:
-    for a, b in combinations(lines, 2):
-        for q in intersect_curves(a, b):
-            if X.contains(q):
-                return True
-    return False
+    """Whether two of the distinct lines cross at a point of X; two lines
+    cross at the cross product of their coefficient vectors."""
+    return any(
+        X.contains(proj_point(*cross(line_coefficients(a), line_coefficients(b), X.p), X.p))
+        for a, b in combinations(lines, 2)
+    )
 
 
 def aligned_points_on_curve(X: PlaneCurve, k: int, seed: int) -> tuple[ProjPoint, ...]:

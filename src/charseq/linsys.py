@@ -30,6 +30,8 @@ CASE_CONTAINS = "contains-degree-(s-1)-section"
 CASE_EITHER = "either-boundary-case"
 CASE_LARGE = "large-degree-regime"
 
+SECTION_TRIALS = 4000  # point subsets find_contained_section fits a curve through
+
 
 def r_alpha(d: int, alpha: int) -> int:
     """Maximal dimension of a complete linear system of degree alpha.
@@ -196,7 +198,7 @@ def _curve_through_group(X: PlaneCurve, Y: PointGroup, degree: int) -> PlaneCurv
 
 
 def find_contained_section(
-    X: PlaneCurve, Y: PointGroup, degree: int, seed: int = 0, max_trials: int = 4000
+    X: PlaneCurve, Y: PointGroup, degree: int, seed: int = 0
 ) -> PlaneCurve | None:
     """Search for a degree-``degree`` curve whose full section of X sits in Y.
 
@@ -211,13 +213,13 @@ def find_contained_section(
     if need > len(pts):
         return None
     rng = random.Random(seed)
-    if comb(len(pts), need) <= max_trials:
+    if comb(len(pts), need) <= SECTION_TRIALS:
         indices = list(combinations(range(len(pts)), need))
         rng.shuffle(indices)
     else:
-        indices = [tuple(rng.sample(range(len(pts)), need)) for _ in range(max_trials)]
+        indices = [tuple(rng.sample(range(len(pts)), need)) for _ in range(SECTION_TRIALS)]
     target = set(Y.points)
-    for subset in indices[:max_trials]:
+    for subset in indices:
         chosen = tuple(pts[i] for i in subset)
         kernel = curves_through(Y.p, degree, chosen)
         if kernel.shape[0] != 1:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import count
+from itertools import count, islice
 from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -84,11 +84,19 @@ class PlaneCurve:
         )
 
     @cached_property
+    def pool(self) -> "PointPool":
+        """The rational points found so far, grown by ``point_pool``: all of
+        them for p <= SMALL_FIELD_SCAN, else those on the lines sampled."""
+        pool = PointPool()
+        if self.p <= SMALL_FIELD_SCAN:
+            pool.add(self, rational_points(self))
+        return pool
+
+    @cached_property
     def smooth_pool(self) -> tuple[ProjPoint, ...]:
         """The smooth points of a pool of max(4d, 48) rational points, where
         random lines are anchored; built once per curve."""
-        pool = point_pool(self, max(4 * self.degree, 48))
-        return tuple(q for q in pool if not is_singular_point(self, q))
+        return tuple(q for q in point_pool(self, max(4 * self.degree, 48)) if self.pool.smooth[q])
 
     def coeff_dict(self) -> dict[tuple[int, int, int], int]:
         return {(e1, e2, e3): c for e1, e2, e3, c in self.terms}
@@ -113,6 +121,12 @@ def cross(u: Sequence[int], v: Sequence[int], p: int) -> tuple[int, int, int]:
         (u[2] * v[0] - u[0] * v[2]) % p,
         (u[0] * v[1] - u[1] * v[0]) % p,
     )
+
+
+def line_coefficients(line: PlaneCurve) -> tuple[int, int, int]:
+    """The coefficients of x, y and z in a linear form."""
+    coeff = line.coeff_dict()
+    return tuple(coeff.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def plane_curve(p: int, coeffs) -> PlaneCurve:
@@ -399,10 +413,9 @@ def span_rank(group: PointGroup) -> int:
     return (group.hilbert + (group.size,))[1]
 
 
-# --- rational points: exact scan for small fields, cached sampling above ---
+# --- rational points: exact scan for small fields, sampled lines above ---
 
 
-@lru_cache(maxsize=None)
 def rational_points(curve: PlaneCurve) -> tuple[ProjPoint, ...]:
     """Every rational point of the curve; exact, for p <= SMALL_FIELD_SCAN."""
     p = curve.p
@@ -425,20 +438,22 @@ def rational_points(curve: PlaneCurve) -> tuple[ProjPoint, ...]:
     return tuple(sorted(found))
 
 
-class _Pool:
-    __slots__ = ("points", "seen", "lines_tried")
+@dataclass
+class PointPool:
+    """One curve's rational points found so far (``PlaneCurve.pool``).
 
-    def __init__(self):
-        self.points: list[ProjPoint] = []
-        self.seen: set[ProjPoint] = set()
-        self.lines_tried = 0
+    ``smooth`` maps each point, in the order found, to whether the curve is
+    smooth there, decided once as the point joins; ``lines`` counts the
+    sampling lines drawn.
+    """
 
+    smooth: dict[ProjPoint, bool] = field(default_factory=dict)
+    lines: int = 0
 
-_POOLS: dict[PlaneCurve, _Pool] = {}
-
-
-def _curve_seed(curve: PlaneCurve) -> int:
-    return zlib.crc32(repr(curve.terms).encode())
+    def add(self, curve: PlaneCurve, pts: Iterable[ProjPoint]) -> None:
+        for q in pts:
+            if q not in self.smooth:
+                self.smooth[q] = not is_singular_point(curve, q)
 
 
 def line_point(a: ProjPoint, b: ProjPoint, t: int, p: int) -> ProjPoint:
@@ -503,28 +518,24 @@ def random_proj_point(rng: random.Random, p: int) -> ProjPoint:
 
 def point_pool(curve: PlaneCurve, size: int) -> tuple[ProjPoint, ...]:
     """At least ``size`` rational points of the curve when that many can be
-    found: the full set for small p, else a deterministic cached sample
-    built from random line sections (capped at POOL_MAX)."""
+    found: the full set for small p, else the first points of the curve's
+    pool, grown by random line sections (capped at POOL_MAX)."""
+    pool = curve.pool
     if curve.p <= SMALL_FIELD_SCAN:
-        return rational_points(curve)
+        return tuple(pool.smooth)
     size = min(size, POOL_MAX)
-    pool = _POOLS.setdefault(curve, _Pool())
-    base = _curve_seed(curve)
+    base = zlib.crc32(repr(curve.terms).encode())
     budget = 40 * max(size, 1)
     # Each sampling line gets its own rng keyed by its index, so the pool is
     # a deterministic sequence and earlier prefixes never change as it grows.
-    while len(pool.points) < size and pool.lines_tried < budget:
-        rng = random.Random(base * 1000003 + pool.lines_tried)
-        pool.lines_tried += 1
+    while len(pool.smooth) < size and pool.lines < budget:
+        rng = random.Random(base * 1000003 + pool.lines)
+        pool.lines += 1
         a = random_proj_point(rng, curve.p)
         b = random_proj_point(rng, curve.p)
-        if not any(cross(a.coords, b.coords, curve.p)):
-            continue
-        for q in line_points_on_curve(curve, a, b):
-            if q not in pool.seen:
-                pool.seen.add(q)
-                pool.points.append(q)
-    return tuple(pool.points[:size])
+        if any(cross(a.coords, b.coords, curve.p)):
+            pool.add(curve, line_points_on_curve(curve, a, b))
+    return tuple(islice(pool.smooth, size))
 
 
 def random_points_on_curve(
@@ -537,10 +548,13 @@ def random_points_on_curve(
         return point_group(curve.p, (), curve)
     pool = point_pool(curve, max(4 * count, 64))
     banned = set(avoid)
-    usable = [q for q in sorted(pool) if q not in banned and not is_singular_point(curve, q)]
+    usable = [q for q in sorted(pool) if q not in banned and curve.pool.smooth[q]]
     if len(usable) < count:
+        lines = curve.pool.lines
+        source = "a full scan" if curve.p <= SMALL_FIELD_SCAN else f"{lines} sampling lines"
         raise GeometryError(
-            f"insufficient rational points: need {count}, found {len(usable)} "
+            f"insufficient rational points: need {count}, found {len(usable)} usable "
+            f"among {len(pool)} pool points from {source} "
             "(raise the modulus or relax the constraints)"
         )
     rng = random.Random(seed)
@@ -661,9 +675,7 @@ def intersect_curves(f: PlaneCurve, h: PlaneCurve, seed: int = 0) -> tuple[ProjP
     return tuple(sorted(found))
 
 
-def section_points(
-    X: PlaneCurve, H: PlaneCurve, require_transverse: bool = True, seed: int = 0
-) -> PointGroup:
+def section_points(X: PlaneCurve, H: PlaneCurve, require_transverse: bool = True) -> PointGroup:
     """The rational points of X cut out by the hypersurface H.
 
     With ``require_transverse`` the section must consist of exactly
@@ -675,16 +687,14 @@ def section_points(
         raise DomainError("section curve lives over a different field")
     p = X.p
     if H.degree == 1:
-        coeff = H.coeff_dict()
-        row = [coeff.get((1, 0, 0), 0), coeff.get((0, 1, 0), 0), coeff.get((0, 0, 1), 0)]
-        basis = modlin.kernel_basis(np.array([row], dtype=np.int64), p)
+        basis = modlin.kernel_basis(np.array([line_coefficients(H)], dtype=np.int64), p)
         a = proj_point(*(int(v) for v in basis[0]), p)
         b = proj_point(*(int(v) for v in basis[1]), p)
         pts = line_points_on_curve(X, a, b)
         if len(pts) == p + 1:
             raise GeometryError("improper intersection: the line lies on the curve")
     else:
-        pts = intersect_curves(X, H, seed=seed)
+        pts = intersect_curves(X, H)
     if require_transverse:
         expected = X.degree * H.degree
         if len(pts) != expected:
@@ -732,7 +742,8 @@ def measure_abs(Y: PointGroup, codim: int | None = None) -> CharSeq:
 
 def dim_linear_system(X: PlaneCurve, Y: PointGroup) -> int:
     """Dimension of the complete linear system through Y on the plane curve X:
-    deg(Y) - phi_Y(d - 3), with phi taken as 0 in negative degrees.
+    deg(Y) - phi_Y(d - 3), read from ``Y.hilbert``: 0 in negative degrees
+    and |Y| past its end.
 
     Y must avoid the singular locus of X so its divisor class is defined.
     """
@@ -740,7 +751,8 @@ def dim_linear_system(X: PlaneCurve, Y: PointGroup) -> int:
     for q in Y.points:
         if is_singular_point(X, q):
             raise GeometryError(f"singular-point collision at {q.coords}")
-    return Y.size - phi_points(Y, X.degree - 3)
+    l, values = X.degree - 3, Y.hilbert
+    return Y.size - (0 if l < 0 else values[l] if l < len(values) else Y.size)
 
 
 # --- file formats ---

@@ -28,7 +28,6 @@ from .pointlab import (
     point_group,
     point_pool,
     random_points_on_curve,
-    rational_points,
     section_points,
 )
 
@@ -59,26 +58,13 @@ def add_case(rel: RelCharSeq, level: int) -> RelCharSeq:
 
 
 def _candidate_points(
-    X: PlaneCurve, candidates: Iterable[ProjPoint] | None, allow_pool: bool
+    X: PlaneCurve, candidates: Iterable[ProjPoint] | None
 ) -> tuple[ProjPoint, ...]:
-    if candidates is not None:
-        return tuple(sorted(set(candidates)))
-    if X.p <= SMALL_FIELD_SCAN:
-        return rational_points(X)
-    if not allow_pool:
-        raise GeometryError(
-            "rational scan infeasible: supply a candidate pool for p > "
-            f"{SMALL_FIELD_SCAN} or allow the sampled pool"
-        )
-    return point_pool(X, 600)
+    return point_pool(X, 600) if candidates is None else tuple(sorted(set(candidates)))
 
 
 def filtration_points(
-    X: PlaneCurve,
-    Y: PointGroup,
-    t: int,
-    candidates: Iterable[ProjPoint] | None = None,
-    allow_pool: bool = True,
+    X: PlaneCurve, Y: PointGroup, t: int, candidates: Iterable[ProjPoint] | None = None
 ) -> tuple[ProjPoint, ...]:
     """Rational points of X killed by every form of degree <= t through Y.
 
@@ -86,23 +72,23 @@ def filtration_points(
     among their degree-t multiples.  When the filtration is cut out by an
     actual form the rational result is exact at any modulus (the form is
     intersected with X through resultants); only the unconstrained stages,
-    which are all of X, fall back to ``candidates`` or the sampled pool
-    above the full-scan limit.
+    which are all of X, fall back to ``candidates`` or the curve's point
+    pool, which is every rational point up to the full-scan limit.
     """
     if t >= 0 and Y.size == 0:
         return ()
     if t < 0:
-        return _candidate_points(X, candidates, allow_pool)
+        return _candidate_points(X, candidates)
     kernel = curves_through(Y.p, t, Y.points)
     if kernel.shape[0] == 0:
-        return _candidate_points(X, candidates, allow_pool)
+        return _candidate_points(X, candidates)
     base = None
     if candidates is None and X.p > SMALL_FIELD_SCAN:
         # None when the constraints vanish on all of X (multiples of the
         # curve itself); filtering the pool is then a no-op
         base = _kernel_section(X, kernel, t)
     if base is None:
-        base = _candidate_points(X, candidates, allow_pool)
+        base = _candidate_points(X, candidates)
     return _filter_by_kernel(base, kernel, t, X.p)
 
 
@@ -128,11 +114,7 @@ def _kernel_section(X: PlaneCurve, kernel, t: int) -> tuple[ProjPoint, ...] | No
 
 
 def addable_points(
-    X: PlaneCurve,
-    Y: PointGroup,
-    level: int,
-    candidates: Iterable[ProjPoint] | None = None,
-    allow_pool: bool = True,
+    X: PlaneCurve, Y: PointGroup, level: int, candidates: Iterable[ProjPoint] | None = None
 ) -> tuple[ProjPoint, ...]:
     """All candidate points whose addition raises an entry up to ``level``.
 
@@ -144,24 +126,20 @@ def addable_points(
         add_case(rel, level)
     except DomainError:
         return ()
-    outer = filtration_points(X, Y, level - 2, candidates, allow_pool)
-    inner = set(filtration_points(X, Y, level - 1, candidates, allow_pool))
+    outer = filtration_points(X, Y, level - 2, candidates)
+    inner = set(filtration_points(X, Y, level - 1, candidates))
     return tuple(q for q in outer if q not in inner)
 
 
 def can_add_at_level(
-    X: PlaneCurve,
-    Y: PointGroup,
-    level: int,
-    candidates: Iterable[ProjPoint] | None = None,
-    allow_pool: bool = True,
+    X: PlaneCurve, Y: PointGroup, level: int, candidates: Iterable[ProjPoint] | None = None
 ) -> ProjPoint | None:
     """Witness point for a case addition at ``level``, or None.
 
     The witness returned is the minimum in coordinate order, so the result
     does not depend on scan order or thread count.
     """
-    options = addable_points(X, Y, level, candidates, allow_pool)
+    options = addable_points(X, Y, level, candidates)
     return min(options) if options else None
 
 
@@ -202,19 +180,17 @@ def enumerate_admissible(d: int, max_degree: int) -> Iterator[tuple[int, ...]]:
         yield from extend([n0], n0)
 
 
-def realize(
-    X: PlaneCurve,
-    target: Sequence[int],
-    seed: int = 0,
-    candidates: Iterable[ProjPoint] | None = None,
-    retries: int = 3,
-) -> PointGroup:
+DFS_BUDGET = 600  # search nodes per realize attempt
+
+
+def realize(X: PlaneCurve, target: Sequence[int], seed: int = 0, retries: int = 3) -> PointGroup:
     """Construct a point group on X whose measured sequence equals ``target``.
 
     The target is stripped to its staircase base (realized by a transverse
     section, or the empty group), then rebuilt one point at a time through
     the filtration witnesses.  Retries re-randomize both the base section
-    and the witness choices; exhaustion raises GeometryError.
+    and the witness choices; exhaustion raises GeometryError saying how
+    many attempts and search nodes it spent.
     """
     goal = tuple(int(v) for v in target)
     if len(goal) != X.degree:
@@ -223,36 +199,35 @@ def realize(
         raise DomainError(f"inadmissible target {goal}")
     staircase, levels = _reduction_levels(goal)
     base_degree = staircase[0]
-    cand = tuple(candidates) if candidates is not None else None
+    attempts, nodes = max(retries, 1), 0
     last_error = "no witness available"
-    for attempt in range(max(retries, 1)):
+    for attempt in range(attempts):
         rng = random.Random(fold_seed(seed, attempt, 40699))
+        budget = [DFS_BUDGET]
         try:
             if base_degree == 0:
                 Y = point_group(X.p, (), X)
             else:
                 _, pts = split_section(X, base_degree, rng.randrange(2**30))
                 Y = point_group(X.p, pts, X)
-            found = _realize_dfs(X, Y, list(reversed(levels)), rng, cand, budget=[600])
+            found = _realize_dfs(X, Y, list(reversed(levels)), rng, budget)
         except GeometryError as err:
             last_error = str(err)
             continue
+        finally:
+            nodes += DFS_BUDGET - budget[0]
         if found is not None and measure_rcs(X, found).entries == goal:
             return found
         last_error = "no rational witness chain reached the target"
     raise GeometryError(
-        f"realization search exhausted for target {goal}: {last_error} "
+        f"realization search exhausted for target {goal} after {attempts} attempts and "
+        f"{nodes} search nodes (budget {DFS_BUDGET} per attempt): {last_error} "
         "(try a different seed or a larger modulus)"
     )
 
 
 def _realize_dfs(
-    X: PlaneCurve,
-    Y: PointGroup,
-    levels: list[int],
-    rng: random.Random,
-    candidates: tuple[ProjPoint, ...] | None,
-    budget: list[int],
+    X: PlaneCurve, Y: PointGroup, levels: list[int], rng: random.Random, budget: list[int]
 ) -> PointGroup | None:
     # Depth-first over witness choices: a witness that exists over the
     # closure may be irrational, so a greedy chain can die and another
@@ -263,10 +238,10 @@ def _realize_dfs(
         return None
     budget[0] -= 1
     level, rest = levels[0], levels[1:]
-    options = list(addable_points(X, Y, level, candidates))
+    options = list(addable_points(X, Y, level))
     rng.shuffle(options)
     for q in options:
-        result = _realize_dfs(X, Y.union([q]), rest, rng, candidates, budget)
+        result = _realize_dfs(X, Y.union([q]), rest, rng, budget)
         if result is not None:
             return result
     return None

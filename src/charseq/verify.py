@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
+from . import modlin
 from .constructions import (
     fold_seed,
     line_through,
@@ -44,7 +45,6 @@ from .pointlab import (
     point_pool,
     proj_point,
     random_points_on_curve,
-    span_rank,
 )
 from .realize import addable_points, can_add_at_level, conjecture_scan, enumerate_admissible, realize
 from .seqcalc import (
@@ -172,11 +172,12 @@ def check_width_theorem(groups: int = 200, p: int = VERIFY_MODULUS) -> CheckResu
         seq = measure_abs(group)
         w = seq.widths
         report = validate_abs(seq)
-        expected_codim = max(span_rank(group) - 1, 1)
+        # an independent rank of the coordinates, not the measured phi_Y(1)
+        span = modlin.rank(group.coords_array(), p)
         problems = list(report.failures())
         if report.degenerate:
             problems.append("degenerate_vs_span")
-        if group.size >= 2 and (len(w) < 2 or w[1] != expected_codim):
+        if group.size >= 2 and (len(w) < 2 or w[1] != span - 1):
             problems.append("l1_vs_span_codim")
         if not is_zero_sequence(w, 0, cone_rule=True).ok:
             problems.append("growth")

@@ -2,18 +2,28 @@
 paths against plain brute-force oracles written out here."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from charseq.constructions import line_through, multiply_curves, random_curve_through, split_line
+from charseq.constructions import (
+    _lines_cross_on_curve,
+    line_through,
+    multiply_curves,
+    random_curve_through,
+    split_line,
+)
 from charseq.errors import DomainError, GeometryError
 from charseq.pointlab import (
+    cross,
     evaluate_terms,
     gradient_at,
+    intersect_curves,
     is_singular_point,
+    line_coefficients,
     line_point,
     line_points_on_curve,
     meets_transversally,
@@ -242,9 +252,38 @@ def test_split_line_exhaustion_says_what_it_tried():
     pool = X.smooth_pool
     rng = random.Random(0)
     drawn = set()
-    for _ in range(60):
+    for _ in range(400):
         line = line_through(P, *rng.sample(pool, 2))
         drawn.add(frozenset(q for q in pool if line.contains(q)))
-    message = f"in 60 tries: {len(drawn)} distinct lines through pairs of its {len(pool)} smooth"
+    message = f"in 400 tries: {len(drawn)} distinct lines through pairs of its {len(pool)} smooth"
     with pytest.raises(GeometryError, match=message):
-        split_line(X, seed=0, tries=60)
+        split_line(X, seed=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    curve=curves.filter(lambda X: X.degree >= 2),
+    seeds=st.lists(st.integers(0, 10**6), min_size=2, max_size=4),
+    through=st.booleans(),
+)
+def test_lines_cross_on_curve_matches_the_resultant(curve, seeds, through):
+    # the first two lines share a rational point of the curve when ``through``
+    pts = rational_points(curve)
+    assume(pts)
+    rng = random.Random(seeds[0])
+    hub = rng.choice(pts)
+    lines = []
+    for k, seed in enumerate(seeds):
+        sub = random.Random(seed)
+        a = hub if through and k < 2 else random_proj_point(sub, P)
+        b = random_proj_point(sub, P)
+        assume(a != b)
+        lines.append(line_through(P, a, b))
+    assume(len({proj_point(*line_coefficients(line), P) for line in lines}) == len(lines))
+    for a, b in combinations(lines, 2):
+        crossing = proj_point(*cross(line_coefficients(a), line_coefficients(b), P), P)
+        assert intersect_curves(a, b) == (crossing,)
+    oracle = any(curve.contains(q) for a, b in combinations(lines, 2) for q in intersect_curves(a, b))
+    assert _lines_cross_on_curve(curve, lines) == oracle
+    if through:
+        assert oracle

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from charseq import modlin, pointlab
+from charseq import modlin, pointlab, verify
 from charseq.constructions import (
     aligned_points_on_curve,
     random_smooth_curve,
@@ -19,6 +19,8 @@ from charseq.constructions import (
 )
 from charseq.errors import GeometryError
 from charseq.pointlab import (
+    PointGroup,
+    dim_linear_system,
     measure_abs,
     measure_rcs,
     phi_plane_curve,
@@ -245,3 +247,29 @@ def test_a_fallback_scan_short_of_the_group_degree_raises(monkeypatch):
     monkeypatch.setattr(modlin, "rank", lambda matrix, p: min(rank(matrix, p), Y.size - 1))
     with pytest.raises(GeometryError, match="below the group degree"):
         measure_abs(Y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(groups(max_degree=8))
+def test_dim_linear_system_reads_the_hilbert_function(case):
+    X, Y = case
+    with counted("rank") as ranks:
+        dim = dim_linear_system(X, Y)
+    assert ranks == []
+    assert dim == Y.size - phi_points(Y, X.degree - 3)
+
+
+def test_width_check_catches_a_wrong_linear_span(monkeypatch):
+    # A Hilbert function off by one in degree 1 corrupts the width w[1] and
+    # the span read from the same function alike; the check must compare
+    # w[1] with an independent rank of the coordinates.
+    hilbert = PointGroup.hilbert.func
+
+    def corrupted(Y):
+        values = hilbert(Y)
+        return values[:1] + (values[1] - 1,) + values[2:] if len(values) > 2 else values
+
+    monkeypatch.setattr(PointGroup, "hilbert", property(corrupted))
+    result = verify.check_width_theorem(groups=6)
+    assert not result.passed and result.counts["violations"] > 0
+    assert "l1_vs_span_codim" in result.detail

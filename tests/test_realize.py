@@ -1,5 +1,7 @@
 """Case additions, filtrations, and the realization search."""
 
+from importlib import import_module
+
 import pytest
 
 from charseq.errors import DomainError, GeometryError
@@ -21,6 +23,8 @@ from charseq.realize import (
     realize,
 )
 from charseq.seqcalc import plane_curve_charseq
+
+realize_module = import_module("charseq.realize")  # the package's ``realize`` is the function
 
 
 def seq_degree(seq) -> int:
@@ -152,6 +156,17 @@ def test_realize_rejects_bad_targets(quartic_small):
         realize(X, (1, 2, 3), seed=0)
 
 
+def test_realize_exhaustion_says_what_it_tried(quartic_small, monkeypatch):
+    # no witness ever: each attempt spends one search node on the first level
+    monkeypatch.setattr(realize_module, "addable_points", lambda X, Y, level: ())
+    message = (
+        r"exhausted for target \(2, 2, 3, 3\) after 3 attempts and 3 search nodes "
+        r"\(budget 600 per attempt\): no rational witness chain reached the target"
+    )
+    with pytest.raises(GeometryError, match=message):
+        realize(quartic_small, (2, 2, 3, 3), seed=0, retries=3)
+
+
 def test_realize_empty_target(quartic_small):
     X = quartic_small
     Y = realize(X, (0, 1, 2, 3), seed=0)
@@ -168,15 +183,23 @@ def test_conjecture_scan_clean(quartic_small):
     assert payload["violations"] == 0 and len(payload["trials"]) == 25
 
 
-def test_filtration_on_big_fields(quartic_big):
+def test_filtration_on_big_fields(quartic_big, monkeypatch):
     X = quartic_big
     Y = random_points_on_curve(X, 3, seed=1)
-    # unconstrained stages are all of X: they need the pool or a candidate set
-    with pytest.raises(GeometryError):
-        filtration_points(X, Y, 0, allow_pool=False)
-    # constrained stages are exact at any modulus and contain the group
-    exact = filtration_points(X, Y, 2, allow_pool=False)
+    grown = (len(X.pool.smooth), X.pool.lines)
+
+    def no_pool(curve, size):
+        raise AssertionError("the point pool was read")
+
+    monkeypatch.setattr(realize_module, "point_pool", no_pool)
+    # unconstrained stages are all of X: they read the pool or a candidate set
+    with pytest.raises(AssertionError, match="point pool was read"):
+        filtration_points(X, Y, 0)
+    # constrained stages are exact at any modulus, contain the group and
+    # never touch the pool
+    exact = filtration_points(X, Y, 2)
     assert set(Y.points) <= set(exact)
+    assert (len(X.pool.smooth), X.pool.lines) == grown
     pts = filtration_points(X, Y, 2, candidates=Y.points)
     assert set(pts) <= set(Y.points)
 

@@ -17,6 +17,7 @@ import numpy as np
 from . import modlin
 from .errors import GeometryError
 from .pointlab import (
+    SMALL_FIELD_SCAN,
     PlaneCurve,
     PointGroup,
     ProjPoint,
@@ -118,18 +119,28 @@ def split_line(
     """A line meeting X in deg(X) distinct smooth rational points, none in ``avoid``.
 
     Random lines through two rational points of X are redrawn until the
-    residual degree splits completely over the field.
+    residual degree splits completely over the field.  For p <= SMALL_FIELD_SCAN
+    each line's points are read from the curve's exact table of d-point
+    lines (``PlaneCurve.split_lines``), and an empty table raises at once.
     """
     d = X.degree
     pool = X.smooth_pool
     if len(pool) < 2:
         raise GeometryError("not enough smooth rational points to anchor a line")
+    table = X.split_lines if X.p <= SMALL_FIELD_SCAN else None
+    if table is not None and not table.split:
+        raise GeometryError(
+            f"no fully split line exists on this degree-{d} curve: none of the "
+            f"{table.lines} distinct lines through pairs of its {table.points} rational "
+            f"points holds exactly {d} of them"
+        )
     rng = random.Random(seed)
     lines = set()
     for _ in range(SPLIT_LINE_TRIES):
         a, b = rng.sample(pool, 2)
-        lines.add(proj_point(*cross(a.coords, b.coords, X.p), X.p))
-        pts = line_points_on_curve(X, a, b)
+        line_key = proj_point(*cross(a.coords, b.coords, X.p), X.p)
+        lines.add(line_key)
+        pts = line_points_on_curve(X, a, b) if table is None else table.split.get(line_key, ())
         if len(pts) != d:
             continue
         if any(q in avoid for q in pts):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import count, islice
 from math import comb
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -97,6 +98,27 @@ class PlaneCurve:
         """The smooth points of a pool of max(4d, 48) rational points, where
         random lines are anchored; built once per curve."""
         return tuple(q for q in point_pool(self, max(4 * self.degree, 48)) if self.pool.smooth[q])
+
+    @cached_property
+    def split_lines(self) -> "LineTable":
+        """The lines through pairs of rational points that hold exactly deg(X)
+        of them; exact, for p <= SMALL_FIELD_SCAN.  Built once per curve."""
+        return _line_table(self)
+
+    @cached_property
+    def _pool_matrices(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def pool_evaluation(self, t: int) -> tuple[tuple["ProjPoint", ...], np.ndarray]:
+        """Every rational point, in pool order, and their degree-t evaluation
+        matrix, built once per degree.  Only for p <= SMALL_FIELD_SCAN, where
+        the pool is complete and never grows, so a held matrix stays valid."""
+        if self.p > SMALL_FIELD_SCAN:
+            raise GeometryError(f"pool evaluation needs p <= {SMALL_FIELD_SCAN}, got {self.p}")
+        pts = tuple(self.pool.smooth)
+        if t not in self._pool_matrices:
+            self._pool_matrices[t] = evaluation_matrix(pts, t, self.p)
+        return pts, self._pool_matrices[t]
 
     def coeff_dict(self) -> dict[tuple[int, int, int], int]:
         return {(e1, e2, e3): c for e1, e2, e3, c in self.terms}
@@ -278,7 +300,9 @@ class PointGroup:
                 )
 
     def union(self, extra: Iterable[ProjPoint]) -> "PointGroup":
-        return point_group(self.p, tuple(self.points) + tuple(extra), self.curve)
+        """This group plus ``extra``; only the new points are checked on the
+        curve, as this group's were when it was built."""
+        return _group(self.p, self.points, tuple(extra), self.curve)
 
 
 _LINE_BATCH = 64
@@ -327,14 +351,21 @@ def _nested_spans(coords: np.ndarray, form: np.ndarray, p: int) -> Iterator[int]
 
 
 def point_group(p: int, points: Iterable[ProjPoint], curve: PlaneCurve | None = None) -> PointGroup:
-    raw = tuple(points)
-    pts = tuple(sorted(set(raw)))
+    return _group(p, (), tuple(points), curve)
+
+
+def _group(
+    p: int, checked: tuple[ProjPoint, ...], new: tuple[ProjPoint, ...], curve: PlaneCurve | None
+) -> PointGroup:
+    # ``checked`` already lie on ``curve``; only ``new`` is evaluated on it
+    raw = checked + new
+    pts = tuple(sorted(set(raw), key=attrgetter("coords")))
     if len(pts) != len(raw):
         raise DomainError("point group needs pairwise distinct points")
     if curve is not None:
         if curve.p != p:
             raise DomainError("curve modulus differs from the group modulus")
-        bad = [q for q in pts if not curve.contains(q)]
+        bad = [q for q in new if not curve.contains(q)]
         if bad:
             raise DomainError(f"{len(bad)} point(s) do not lie on the ambient curve")
     return PointGroup(p, pts, curve)
@@ -509,6 +540,49 @@ def line_points_on_curve(curve: PlaneCurve, a: ProjPoint, b: ProjPoint) -> tuple
     return tuple(sorted(pts))
 
 
+@dataclass(frozen=True)
+class LineTable:
+    """A curve's lines through pairs of its rational points (``PlaneCurve.split_lines``).
+
+    ``split`` maps each normalized line (its coefficients as a ProjPoint)
+    that holds exactly deg(X) rational points of the curve to those points,
+    sorted; ``lines`` counts the distinct lines and ``points`` the rational
+    points they were drawn through.
+    """
+
+    split: dict[ProjPoint, tuple[ProjPoint, ...]]
+    lines: int
+    points: int
+
+
+def _line_table(curve: PlaneCurve) -> LineTable:
+    # All pairs at once: a line holding k rational points is the cross
+    # product of exactly C(k, 2) pairs, so the d-point lines are the keys
+    # seen C(d, 2) times (none for d = 1, where no pair fixes one point).
+    p, d = curve.p, curve.degree
+    if p > SMALL_FIELD_SCAN:
+        raise GeometryError(f"a split-line table needs p <= {SMALL_FIELD_SCAN}, got {p}")
+    pts = tuple(curve.pool.smooth)  # every rational point, sorted
+    coords = np.array([q.coords for q in pts], dtype=np.int64).reshape(-1, 3)
+    i, j = np.triu_indices(len(pts), 1)
+    lines = np.cross(coords[i], coords[j]) % p
+    # scale the last nonzero coefficient to 1, as proj_point does
+    last = np.where(lines[:, 2] != 0, 2, np.where(lines[:, 1] != 0, 1, 0))
+    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+    lines = lines * inverse[lines[np.arange(len(lines)), last]].reshape(-1, 1) % p
+    keys = (lines[:, 0] * p + lines[:, 1]) * p + lines[:, 2]
+    unique, line_of, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    rich = (counts == comb(d, 2))[line_of]
+    n = len(pts)
+    owned = np.unique(np.concatenate([line_of[rich] * n + i[rich], line_of[rich] * n + j[rich]]))
+    split = {}
+    for row in owned.reshape(-1, d):
+        key = int(unique[row[0] // n])
+        line = ProjPoint((key // (p * p), key // p % p, key % p))
+        split[line] = tuple(pts[k] for k in row % n)
+    return LineTable(split, len(unique), n)
+
+
 def random_proj_point(rng: random.Random, p: int) -> ProjPoint:
     while True:
         x, y, z = rng.randrange(p), rng.randrange(p), rng.randrange(p)
@@ -548,7 +622,8 @@ def random_points_on_curve(
         return point_group(curve.p, (), curve)
     pool = point_pool(curve, max(4 * count, 64))
     banned = set(avoid)
-    usable = [q for q in sorted(pool) if q not in banned and curve.pool.smooth[q]]
+    ordered = sorted(pool, key=attrgetter("coords"))
+    usable = [q for q in ordered if q not in banned and curve.pool.smooth[q]]
     if len(usable) < count:
         lines = curve.pool.lines
         source = "a full scan" if curve.p <= SMALL_FIELD_SCAN else f"{lines} sampling lines"
@@ -722,7 +797,8 @@ def measure_rcs(X: PlaneCurve, Y: PointGroup) -> RelCharSeq:
     """Measure the relative characteristic sequence of Y on the plane curve X:
     the measured absolute sequence of Y read over X through ``rel_from_abs``,
     which rejects a pair no relative sequence accounts for."""
-    _check_on_curve(X, Y)
+    if Y.curve != X:  # a group built on X had each point checked then
+        _check_on_curve(X, Y)
     return rel_from_abs(plane_curve_charseq(X.degree), measure_abs(Y, codim=2))
 
 
@@ -747,7 +823,8 @@ def dim_linear_system(X: PlaneCurve, Y: PointGroup) -> int:
 
     Y must avoid the singular locus of X so its divisor class is defined.
     """
-    _check_on_curve(X, Y)
+    if Y.curve != X:
+        _check_on_curve(X, Y)
     for q in Y.points:
         if is_singular_point(X, q):
             raise GeometryError(f"singular-point collision at {q.coords}")

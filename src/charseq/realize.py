@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import modlin
@@ -73,7 +75,9 @@ def filtration_points(
     actual form the rational result is exact at any modulus (the form is
     intersected with X through resultants); only the unconstrained stages,
     which are all of X, fall back to ``candidates`` or the curve's point
-    pool, which is every rational point up to the full-scan limit.
+    pool, which is every rational point up to the full-scan limit.  Up to
+    that limit the whole pool is filtered through the curve's held
+    evaluation matrix of degree t (``PlaneCurve.pool_evaluation``).
     """
     if t >= 0 and Y.size == 0:
         return ()
@@ -82,8 +86,10 @@ def filtration_points(
     kernel = curves_through(Y.p, t, Y.points)
     if kernel.shape[0] == 0:
         return _candidate_points(X, candidates)
+    if candidates is None and X.p <= SMALL_FIELD_SCAN:
+        return _off_kernel(*X.pool_evaluation(t), kernel, X.p)
     base = None
-    if candidates is None and X.p > SMALL_FIELD_SCAN:
+    if candidates is None:
         # None when the constraints vanish on all of X (multiples of the
         # curve itself); filtering the pool is then a no-op
         base = _kernel_section(X, kernel, t)
@@ -93,12 +99,16 @@ def filtration_points(
 
 
 def _filter_by_kernel(points, kernel, t: int, p: int) -> tuple[ProjPoint, ...]:
-    pts = tuple(sorted(set(points)))
+    pts = tuple(sorted(set(points), key=attrgetter("coords")))
     if not pts:
         return ()
-    values = evaluation_matrix(pts, t, p)
+    return _off_kernel(pts, evaluation_matrix(pts, t, p), kernel, p)
+
+
+def _off_kernel(pts, values, kernel, p: int) -> tuple[ProjPoint, ...]:
+    """The points whose evaluation row every kernel form kills."""
     hits = modlin.matmul(values, kernel.T, p)
-    return tuple(q for q, row in zip(pts, hits) if not row.any())
+    return tuple(compress(pts, ~hits.any(axis=1)))
 
 
 def _kernel_section(X: PlaneCurve, kernel, t: int) -> tuple[ProjPoint, ...] | None:
@@ -121,7 +131,17 @@ def addable_points(
     These are the points separated from Y exactly in degree ``level - 1``:
     inside the filtration at ``level - 2`` but outside it at ``level - 1``.
     """
-    rel = measure_rcs(X, Y)
+    return _witnesses(X, Y, measure_rcs(X, Y), level, candidates)
+
+
+def _witnesses(
+    X: PlaneCurve,
+    Y: PointGroup,
+    rel: RelCharSeq,
+    level: int,
+    candidates: Iterable[ProjPoint] | None = None,
+) -> tuple[ProjPoint, ...]:
+    # ``addable_points`` for a group whose measured sequence ``rel`` is known
     try:
         add_case(rel, level)
     except DomainError:
@@ -210,7 +230,9 @@ def realize(X: PlaneCurve, target: Sequence[int], seed: int = 0, retries: int = 
             else:
                 _, pts = split_section(X, base_degree, rng.randrange(2**30))
                 Y = point_group(X.p, pts, X)
-            found = _realize_dfs(X, Y, list(reversed(levels)), rng, budget)
+            found = Y
+            if levels:  # the base is measured once; the search carries the sequence on
+                found = _realize_dfs(X, Y, measure_rcs(X, Y), levels[::-1], rng, budget)
         except GeometryError as err:
             last_error = str(err)
             continue
@@ -227,21 +249,29 @@ def realize(X: PlaneCurve, target: Sequence[int], seed: int = 0, retries: int = 
 
 
 def _realize_dfs(
-    X: PlaneCurve, Y: PointGroup, levels: list[int], rng: random.Random, budget: list[int]
+    X: PlaneCurve,
+    Y: PointGroup,
+    rel: RelCharSeq,
+    levels: list[int],
+    rng: random.Random,
+    budget: list[int],
 ) -> PointGroup | None:
     # Depth-first over witness choices: a witness that exists over the
     # closure may be irrational, so a greedy chain can die and another
-    # branch must be tried.
+    # branch must be tried.  ``rel`` is Y's measured sequence: a witness at
+    # ``level`` raises the one entry ``add_case`` raises, so every child's
+    # sequence is known without measuring it.
     if not levels:
         return Y
     if budget[0] <= 0:
         return None
     budget[0] -= 1
     level, rest = levels[0], levels[1:]
-    options = list(addable_points(X, Y, level))
+    options = list(_witnesses(X, Y, rel, level))
     rng.shuffle(options)
+    grown = add_case(rel, level) if options else rel
     for q in options:
-        result = _realize_dfs(X, Y.union([q]), rest, rng, budget)
+        result = _realize_dfs(X, Y.union([q]), grown, rest, rng, budget)
         if result is not None:
             return result
     return None

@@ -249,15 +249,68 @@ def test_smooth_pool_is_built_once_per_curve(p):
 
 def test_split_line_exhaustion_says_what_it_tried():
     X = corpus_curve(P, 7)  # no line meets it in seven rational points
+    pts = rational_points(X)
+    lines = {proj_point(*line_coefficients(line_through(P, a, b)), P) for a, b in combinations(pts, 2)}
+    message = (
+        f"no fully split line exists on this degree-7 curve: none of the {len(lines)} "
+        f"distinct lines through pairs of its {len(pts)} rational points holds exactly 7"
+    )
+    with pytest.raises(GeometryError, match=message):
+        split_line(X, seed=0)
+
+
+def test_split_line_tries_say_what_they_drew_at_a_large_prime():
+    # every line is drawn through two smooth pool points, so avoiding the
+    # whole smooth pool rejects every split line and spends all 400 tries
+    X = corpus_curve(10007, 4)
     pool = X.smooth_pool
     rng = random.Random(0)
     drawn = set()
     for _ in range(400):
-        line = line_through(P, *rng.sample(pool, 2))
+        line = line_through(X.p, *rng.sample(pool, 2))
         drawn.add(frozenset(q for q in pool if line.contains(q)))
     message = f"in 400 tries: {len(drawn)} distinct lines through pairs of its {len(pool)} smooth"
     with pytest.raises(GeometryError, match=message):
-        split_line(X, seed=0)
+        split_line(X, seed=0, avoid=frozenset(pool))
+
+
+def nodal_cubic(p):
+    """y^2 z = x^3 + x^2 z, singular at (0:0:1)."""
+    return plane_curve(p, {(0, 2, 1): 1, (3, 0, 0): -1, (2, 0, 1): -1})
+
+
+def table_curve(p, kind, d, seed):
+    if kind == "nodal cubic":
+        return nodal_cubic(p)
+    if kind == "line component":
+        rng = random.Random(seed)
+        a, b = random_proj_point(rng, p), random_proj_point(rng, p)
+        assume(a != b)
+        line = line_through(p, a, b)
+        return line if d == 1 else multiply_curves(line, random_curve_through(p, d - 1, (), seed))
+    return random_curve_through(p, d, (), seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5, 7, P)),
+    kind=st.sampled_from(("nodal cubic", "line component", "random")),
+    d=st.integers(min_value=1, max_value=6),
+    seed=st.integers(0, 10**6),
+)
+def test_split_line_table_matches_line_points(p, kind, d, seed):
+    # the oracle: the exact line section through every pair of rational points
+    X = table_curve(p, kind, d, seed)
+    pts = rational_points(X)
+    expected = {}
+    for a, b in combinations(pts, 2):
+        line = proj_point(*cross(a.coords, b.coords, p), p)
+        if line not in expected:
+            on_line = line_points_on_curve(X, a, b)
+            expected[line] = on_line if len(on_line) == X.degree else None
+    table = X.split_lines
+    assert table.split == {k: v for k, v in expected.items() if v is not None}
+    assert (table.lines, table.points) == (len(expected), len(pts))
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,6 +17,7 @@ from charseq.constructions import (
 from charseq.errors import DomainError, GeometryError
 from charseq.liaison import abs_from_rel, rel_degree
 from charseq.pointlab import (
+    PlaneCurve,
     dim_linear_system,
     gradient_at,
     intersect_curves,
@@ -286,6 +287,34 @@ def test_point_group_rejects_duplicates_and_strays(quartic_big):
         point_group(P, [q, proj_point(2, 4, 6, P)])
     with pytest.raises(DomainError):
         point_group(P, [proj_point(1, 0, 0, P)], quartic_big)
+
+
+def test_points_are_checked_on_their_curve_once(quartic_big, monkeypatch):
+    X = quartic_big
+    Y = random_points_on_curve(X, 6, seed=2)
+    extra = random_points_on_curve(X, 8, seed=3, avoid=Y.points).points[:2]
+    calls = []
+    contains = PlaneCurve.contains
+    monkeypatch.setattr(PlaneCurve, "contains", lambda curve, q: calls.append(q) or contains(curve, q))
+
+    # a group built on X had each point checked then: no re-check
+    measure_rcs(X, Y)
+    dim_linear_system(X, Y)
+    assert calls == []
+    # a union checks the new points only
+    grown = Y.union(extra)
+    assert calls == list(extra)
+    del calls[:]
+    # a group with no curve, or built on another curve, is checked point by point
+    on_no_curve = point_group(P, grown.points)
+    on_other = point_group(P, grown.points, multiply_curves(X, line_through(P, *grown.points[:2])))
+    del calls[:]
+    for Z in (on_no_curve, on_other):
+        measure_rcs(X, Z)
+        dim_linear_system(X, Z)
+    assert calls == 4 * list(grown.points)
+    with pytest.raises(DomainError, match="do not lie on the ambient curve"):
+        Y.union([proj_point(1, 0, 0, P)])
 
 
 def test_intersect_curves_matches_full_scan(quartic_small, quintic_small):

@@ -1,18 +1,26 @@
 """Case additions, filtrations, and the realization search."""
 
+import time
 from importlib import import_module
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from charseq.constructions import curves_through
 from charseq.errors import DomainError, GeometryError
 from charseq.liaison import RelCharSeq
 from charseq.pointlab import (
+    evaluation_matrix,
     measure_rcs,
     point_group,
+    point_pool,
+    proj_point,
     random_points_on_curve,
     rational_points,
 )
 from charseq.realize import (
+    _filter_by_kernel,
     add_case,
     addable_points,
     can_add_at_level,
@@ -23,6 +31,7 @@ from charseq.realize import (
     realize,
 )
 from charseq.seqcalc import plane_curve_charseq
+from charseq.verify import corpus_curve
 
 realize_module = import_module("charseq.realize")  # the package's ``realize`` is the function
 
@@ -158,7 +167,7 @@ def test_realize_rejects_bad_targets(quartic_small):
 
 def test_realize_exhaustion_says_what_it_tried(quartic_small, monkeypatch):
     # no witness ever: each attempt spends one search node on the first level
-    monkeypatch.setattr(realize_module, "addable_points", lambda X, Y, level: ())
+    monkeypatch.setattr(realize_module, "_witnesses", lambda X, Y, rel, level: ())
     message = (
         r"exhausted for target \(2, 2, 3, 3\) after 3 attempts and 3 search nodes "
         r"\(budget 600 per attempt\): no rational witness chain reached the target"
@@ -238,3 +247,144 @@ def test_base_addition_from_the_empty_group(quartic_small):
     witness = can_add_at_level(X, empty, 1)
     assert witness is not None and X.contains(witness)
     assert measure_rcs(X, empty.union([witness])).entries == (1, 1, 2, 3)
+
+
+def filter_rows_one_by_one(points, kernel, t, p):
+    """The pool filter the held matrices replaced: sort, evaluate, then test
+    each row on its own."""
+    pts = tuple(sorted(set(points)))
+    if not pts:
+        return ()
+    hits = evaluation_matrix(pts, t, p) @ kernel.T % p
+    return tuple(q for q, row in zip(pts, hits) if not row.any())
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from((4, 5)), size=st.integers(1, 16), seed=st.integers(0, 10**6))
+def test_held_pool_matrices_filter_like_the_row_loop(d, size, seed):
+    X = corpus_curve(101, d)
+    Y = random_points_on_curve(X, size, seed)
+    for t in range(9):
+        kernel = curves_through(X.p, t, Y.points)
+        got = filtration_points(X, Y, t)
+        if kernel.shape[0] == 0:
+            assert got == point_pool(X, 600)
+            continue
+        oracle = filter_rows_one_by_one(point_pool(X, 600), kernel, t, X.p)
+        assert got == oracle
+        assert _filter_by_kernel(point_pool(X, 600), kernel, t, X.p) == oracle
+    pts, values = X.pool_evaluation(3)
+    assert X.pool_evaluation(3)[1] is values  # one matrix per (curve, degree)
+    assert pts == point_pool(X, 600)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.sampled_from((4, 5)),
+    target=st.integers(0, 10**6),
+    seed=st.integers(0, 10**6),
+)
+def test_the_search_carries_the_measured_sequence(d, target, seed):
+    # at every search node the sequence handed down equals a fresh measurement
+    X = corpus_curve(101, d)
+    targets = sorted(set(enumerate_admissible(d, 12)))
+    witnesses = realize_module._witnesses
+
+    def checked(X, Y, rel, level):
+        assert rel == measure_rcs(X, Y)
+        return witnesses(X, Y, rel, level)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(realize_module, "_witnesses", checked)
+        try:
+            realize(X, targets[target % len(targets)], seed=seed)
+        except GeometryError:
+            pass  # a search that runs dry still checked every node it visited
+
+
+# Points returned and search nodes spent (``_witnesses`` calls) by realize
+# on corpus_curve(101, d), recorded from a search that measured every node afresh.
+PINNED_SEARCHES = [
+    (4, (3, 3, 3, 3), 0, 8, "16,8,1 21,41,1 25,89,1 62,58,1 63,48,1 84,73,1"),
+    (4, (2, 2, 3, 3), 1, 4, "8,38,1 56,28,1 84,32,1 98,34,1"),
+    (4, (4, 5, 5, 5), 0, 6,
+        "1,29,1 2,90,1 5,64,1 8,38,1 16,67,1 30,6,1 40,87,1 59,8,1 64,24,1 "
+        "72,90,1 79,69,1 86,17,1 92,29,1"
+    ),
+    (4, (5, 5, 6, 6), 1, 5,
+        "4,80,1 6,83,1 8,94,1 12,22,1 22,27,1 27,12,1 34,74,1 51,90,1 53,73,1 "
+        "59,96,1 62,58,1 64,24,1 71,46,1 83,98,1 86,42,1 98,34,1"
+    ),
+    (4, (1, 2, 3, 3), 2, 5, "21,91,1 22,27,1 51,90,1"),
+    (4, (3, 4, 5, 5), 0, 4,
+        "2,90,1 5,64,1 8,38,1 16,67,1 30,6,1 40,87,1 64,24,1 72,90,1 79,69,1 "
+        "86,17,1 92,29,1"
+    ),
+    (4, (4, 4, 4, 5), 2, 3,
+        "5,58,1 8,38,1 16,67,1 22,29,1 26,31,1 34,83,1 40,87,1 43,74,1 58,75,1 "
+        "86,17,1 89,72,1"
+    ),
+    (4, (2, 3, 3, 4), 0, 2, "2,90,1 5,64,1 8,38,1 30,6,1 64,24,1 84,76,1"),
+    (4, (0, 1, 2, 3), 0, 0, ""),
+    (5, (4, 4, 5, 5, 5), 2, 20,
+        "3,60,1 6,87,1 39,27,1 48,80,1 49,69,1 54,10,1 57,31,1 61,93,1 68,43,1 "
+        "81,20,1 81,80,1 84,88,1 96,57,1"
+    ),
+    (5, (3, 4, 4, 4, 4), 0, 19,
+        "6,87,1 9,61,1 27,32,1 27,63,1 31,69,1 40,8,1 47,71,1 51,33,1 91,100,1"
+    ),
+    (5, (3, 3, 3, 4, 4), 0, 17, "6,87,1 9,61,1 27,32,1 31,69,1 40,8,1 51,33,1 91,100,1"),
+    (5, (2, 3, 4, 5, 5), 2, 11,
+        "3,60,1 48,80,1 49,69,1 61,93,1 68,43,1 81,20,1 81,80,1 84,88,1 96,57,1"
+    ),
+    (5, (4, 4, 4, 4, 5), 1, 10,
+        "15,84,1 18,37,1 23,86,1 25,75,1 26,75,1 41,13,1 49,82,1 65,53,1 "
+        "84,88,1 90,1,0 90,78,1"
+    ),
+    (5, (5, 5, 5, 6, 6), 1, 9,
+        "2,19,1 9,70,1 20,65,1 25,75,1 39,27,1 41,74,1 49,82,1 56,67,1 60,93,1 "
+        "65,53,1 68,81,1 77,85,1 80,28,1 81,8,1 84,88,1 90,1,0 94,84,1"
+    ),
+    (5, (4, 5, 5, 6, 6), 1, 8,
+        "2,19,1 9,70,1 20,65,1 25,75,1 39,27,1 41,74,1 49,82,1 56,67,1 60,93,1 "
+        "65,53,1 68,81,1 77,85,1 80,28,1 84,88,1 90,1,0 94,84,1"
+    ),
+    (5, (3, 3, 4, 4, 5), 1, 8,
+        "18,37,1 23,86,1 25,75,1 26,75,1 49,82,1 65,53,1 84,88,1 90,1,0 90,78,1"
+    ),
+    (5, (3, 4, 5, 6, 6), 2, 6,
+        "5,39,1 7,68,1 31,12,1 44,94,1 48,80,1 49,69,1 55,57,1 69,13,1 75,38,1 "
+        "81,20,1 84,25,1 84,88,1 96,57,1 100,58,1"
+    ),
+    (5, (4, 5, 6, 6, 7), 0, 5,
+        "4,65,1 6,83,1 31,69,1 33,23,1 41,74,1 41,95,1 49,82,1 54,10,1 55,96,1 "
+        "63,22,1 67,4,1 75,12,1 75,38,1 77,32,1 81,20,1 84,11,1 84,55,1 98,38,1"
+    ),
+    (5, (2, 2, 2, 3, 4), 0, 3, "26,75,1 40,8,1 81,80,1"),
+]
+
+
+def test_the_search_is_pinned(monkeypatch):
+    calls = [0]
+    witnesses = realize_module._witnesses
+
+    def counted(*args):
+        calls[0] += 1
+        return witnesses(*args)
+
+    monkeypatch.setattr(realize_module, "_witnesses", counted)
+    for d, target, seed, nodes, points in PINNED_SEARCHES:
+        X = corpus_curve(101, d)
+        calls[0] = 0
+        found = realize(X, target, seed=seed)
+        expected = tuple(proj_point(*map(int, q.split(",")), X.p) for q in points.split())
+        assert (found.points, calls[0]) == (expected, nodes), (d, target, seed)
+
+
+def test_no_split_line_fails_fast():
+    # corpus_curve(101, 7) has no line through seven of its rational points
+    X = corpus_curve(101, 7)
+    start = time.perf_counter()
+    with pytest.raises(GeometryError, match="after 4 attempts"):
+        realize(X, (1, 2, 3, 4, 5, 6, 7), seed=0, retries=4)
+    assert time.perf_counter() - start < 1.0

@@ -177,6 +177,8 @@ def split_section(
             try:
                 line, pts = split_line(X, rng.randrange(2**30), frozenset(banned))
             except GeometryError:
+                if X.p <= SMALL_FIELD_SCAN and not X.split_lines.split:
+                    raise  # proven: no split line exists, so no retry can help
                 ok = False
                 break
             lines.append(line)

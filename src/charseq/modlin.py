@@ -210,6 +210,31 @@ def poly_gcd(a, b, p: int) -> list[int]:
     return fa
 
 
+def poly_resultant(a, b, p: int) -> int:
+    """Res(a, b) mod p of two coefficient lists, by the Euclidean algorithm.
+
+    With m = deg a, n = deg b and r = a mod b of degree k,
+    Res(a, b) = (-1)^(mn) lc(b)^(m-k) Res(b, r), and Res(a, c) = c^m for a
+    constant c (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6).
+    A zero argument gives 0.
+    """
+    fa = poly_trim([int(c) % p for c in a])
+    fb = poly_trim([int(c) % p for c in b])
+    if not fa or not fb:
+        return 0
+    result = 1
+    while len(fb) > 1:
+        m, n = len(fa) - 1, len(fb) - 1
+        r = _poly_divmod(fa, fb, p)[1]
+        if not r:
+            return 0
+        if m * n % 2:
+            result = -result
+        result = result * pow(fb[-1], m - len(r) + 1, p) % p
+        fa, fb = fb, r
+    return result * pow(fb[0], len(fa) - 1, p) % p
+
+
 def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     """Quotient and remainder of a by a nonzero b, both reduced mod p."""
     a = a[:]

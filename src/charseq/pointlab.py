@@ -13,7 +13,7 @@ import random
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import count, islice
+from itertools import chain, count, islice
 from math import comb
 from operator import attrgetter
 from pathlib import Path
@@ -28,6 +28,9 @@ from .seqcalc import CharSeq, entries_from_widths, plane_curve_charseq
 
 SMALL_FIELD_SCAN = 101  # full P^2 enumeration is feasible up to here
 POOL_MAX = 5000
+# The largest prime with (p - 1)^2 + p < 2^63: below it a product of two
+# residues plus a residue fits in int64, so elimination steps are exact.
+MAX_MODULUS = 3037000493
 
 
 def _is_prime(n: int) -> bool:
@@ -44,6 +47,10 @@ def _is_prime(n: int) -> bool:
 
 
 def check_modulus(p: int) -> int:
+    if p > MAX_MODULUS:
+        raise DomainError(
+            f"modulus {p} is above MAX_MODULUS = {MAX_MODULUS}, the bound of exact int64 arithmetic"
+        )
     if not _is_prime(p):
         raise DomainError(f"modulus must be prime, got {p}")
     return p
@@ -217,42 +224,6 @@ def meets_transversally(X: PlaneCurve, H: PlaneCurve, pts: Iterable[ProjPoint]) 
     point of either curve, where one gradient is zero.
     """
     return all(any(cross(gradient_at(X, q), gradient_at(H, q), X.p)) for q in pts)
-
-
-def substitute_linear(curve: PlaneCurve, matrix: Sequence[Sequence[int]]) -> PlaneCurve:
-    """The form v -> f(M v) for a 3x3 matrix M over F_p."""
-    p = curve.p
-    rows = [tuple(int(x) % p for x in row) for row in matrix]
-
-    def linear_power(row: tuple[int, int, int], e: int) -> dict[tuple[int, int, int], int]:
-        a, b, c = row
-        out: dict[tuple[int, int, int], int] = {}
-        for i in range(e + 1):
-            for j in range(e - i + 1):
-                k = e - i - j
-                coeff = comb(e, i) * comb(e - i, j) * pow(a, i, p) * pow(b, j, p) * pow(c, k, p)
-                coeff %= p
-                if coeff:
-                    out[(i, j, k)] = (out.get((i, j, k), 0) + coeff) % p
-        return out
-
-    def dict_mul(u: dict, v: dict) -> dict:
-        out: dict[tuple[int, int, int], int] = {}
-        for eu, cu in u.items():
-            for ev, cv in v.items():
-                key = (eu[0] + ev[0], eu[1] + ev[1], eu[2] + ev[2])
-                out[key] = (out.get(key, 0) + cu * cv) % p
-        return out
-
-    total: dict[tuple[int, int, int], int] = {}
-    for e1, e2, e3, c in curve.terms:
-        piece: dict[tuple[int, int, int], int] = {(0, 0, 0): c}
-        for var, e in ((0, e1), (1, e2), (2, e3)):
-            if e:
-                piece = dict_mul(piece, linear_power(rows[var], e))
-        for key, val in piece.items():
-            total[key] = (total.get(key, 0) + val) % p
-    return plane_curve(p, total)
 
 
 @dataclass(frozen=True)
@@ -494,14 +465,15 @@ def line_point(a: ProjPoint, b: ProjPoint, t: int, p: int) -> ProjPoint:
     return proj_point(*(u + t * v for u, v in zip(a.coords, b.coords)), p)
 
 
-def _restrict_to_line(curve: PlaneCurve, a: ProjPoint, b: ProjPoint) -> list[int]:
-    """The d+1 coefficients, lowest first, of g(t) = F(a + t*b); the top one is F(b).
+def _restrict_to_line(curve: PlaneCurve, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The d+1 coefficients, lowest first, of g(t) = F(a + t*b) for coordinate
+    triples a and b, which need not be normalized; the top one is F(b).
 
     Nested Horner in x and y over linear polynomials in t, exact at every p,
     even p <= d where interpolation would run out of nodes.
     """
     p, d = curve.p, curve.degree
-    (ax, ay, az), (bx, by, bz) = a.coords, b.coords
+    (ax, ay, az), (bx, by, bz) = a, b
     coeff = curve.coeff_dict()
     z_powers = [[1]]
     for _ in range(d):
@@ -531,7 +503,7 @@ def line_points_on_curve(curve: PlaneCurve, a: ProjPoint, b: ProjPoint) -> tuple
     p = curve.p
     if not any(cross(a.coords, b.coords, p)):
         raise DomainError("a line needs two distinct points")
-    g = _restrict_to_line(curve, a, b)
+    g = _restrict_to_line(curve, a.coords, b.coords)
     if not any(g):
         return tuple(sorted(line_point(a, b, t, p) for t in range(p + 1)))
     pts = [line_point(a, b, t, p) for t in modlin.poly_roots(g, p)]
@@ -639,40 +611,6 @@ def random_points_on_curve(
 # --- curve intersection via resultants ---
 
 
-def _pure_power_coeff(curve: PlaneCurve, var: int) -> int:
-    d = curve.degree
-    target = tuple(d if i == var else 0 for i in range(3))
-    for e1, e2, e3, c in curve.terms:
-        if (e1, e2, e3) == target:
-            return c
-    return 0
-
-
-def _x_slices(curve: PlaneCurve) -> list[dict[tuple[int, int], int]]:
-    # coefficient of x^k as a polynomial in (y, z)
-    d = curve.degree
-    slices: list[dict[tuple[int, int], int]] = [dict() for _ in range(d + 1)]
-    for e1, e2, e3, c in curve.terms:
-        slices[e1][(e2, e3)] = c
-    return slices
-
-
-def _eval_slice(slice_yz: dict[tuple[int, int], int], y: int, z: int, p: int) -> int:
-    return sum(c * pow(y, e2, p) * pow(z, e3, p) for (e2, e3), c in slice_yz.items()) % p
-
-
-def _sylvester(fc: list[int], hc: list[int], p: int) -> np.ndarray:
-    # coefficient lists in decreasing degree, full length
-    n, m = len(fc) - 1, len(hc) - 1
-    size = n + m
-    mat = np.zeros((size, size), dtype=np.int64)
-    for i in range(m):
-        mat[i, i : i + n + 1] = fc
-    for i in range(n):
-        mat[m + i, i : i + m + 1] = hc
-    return mat % p
-
-
 def _random_invertible(rng: random.Random, p: int) -> list[list[int]]:
     while True:
         mat = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
@@ -683,10 +621,16 @@ def _random_invertible(rng: random.Random, p: int) -> list[list[int]]:
 def intersect_curves(f: PlaneCurve, h: PlaneCurve, seed: int = 0) -> tuple[ProjPoint, ...]:
     """All rational common zeros of two curves with no shared component.
 
-    Exact for any prime field with p > deg(f)*deg(h): the intersection is
-    projected out through a resultant in coordinates where both forms carry
-    a full power of the first variable.  A shared component is detected as
-    an identically vanishing resultant and raises GeometryError.
+    Exact for any prime field with p > deg(f)*deg(h).  The plane is swept by
+    the lines through a centre b off both curves: line y joins b to
+    c0 + y*c1, and one more joins b to c1.  f(b) and h(b) are the top
+    coefficients of every restriction, so the resultant R(y) of the two
+    restrictions has degree <= deg(f)*deg(h), vanishes at each line through
+    a common zero, and vanishes identically exactly when the curves share a
+    component (GeometryError).  The common zeros on a line are the roots of
+    the gcd of its restrictions.  b, c1 and c0 are the columns of the
+    identity when (1:0:0) is off both curves, else of the first of 64
+    random invertible matrices that puts b off both.
     """
     if f.p != h.p:
         raise DomainError("curves live over different fields")
@@ -695,55 +639,33 @@ def intersect_curves(f: PlaneCurve, h: PlaneCurve, seed: int = 0) -> tuple[ProjP
     if d * s >= p:
         raise DomainError(f"field too small for an exact intersection of degrees {d} and {s}")
     rng = random.Random(seed)
-    matrix = None
-    f2, h2 = f, h
-    if _pure_power_coeff(f, 0) == 0 or _pure_power_coeff(h, 0) == 0:
-        for _ in range(64):
-            candidate = _random_invertible(rng, p)
-            f2 = substitute_linear(f, candidate)
-            h2 = substitute_linear(h, candidate)
-            if _pure_power_coeff(f2, 0) != 0 and _pure_power_coeff(h2, 0) != 0:
-                matrix = candidate
-                break
-        else:
-            raise GeometryError("could not reach coordinates with full leading terms")
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for matrix in chain([identity], (_random_invertible(rng, p) for _ in range(64))):
+        b, c1, c0 = zip(*matrix)  # the columns M*e1, M*e2, M*e3
+        centre = proj_point(*b, p)
+        if not (f.contains(centre) or h.contains(centre)):
+            break
+    else:
+        raise GeometryError("no centre off both curves found in 64 random frames")
 
-    fs, hs = _x_slices(f2), _x_slices(h2)
-    nodes = list(range(d * s + 1))
-    dets = []
-    for y0 in nodes:
-        fc = [_eval_slice(fs[k], y0, 1, p) for k in range(d, -1, -1)]
-        hc = [_eval_slice(hs[k], y0, 1, p) for k in range(s, -1, -1)]
-        dets.append(modlin.det(_sylvester(fc, hc, p), p))
-    res_coeffs = modlin.interpolate(nodes, dets, p)
+    def restrictions(a):
+        return _restrict_to_line(f, a, b), _restrict_to_line(h, a, b)
+
+    def node(y: int) -> tuple[int, ...]:
+        return tuple(u + y * v for u, v in zip(c0, c1))
+
+    nodes = range(d * s + 1)
+    values = [modlin.poly_resultant(*restrictions(node(y)), p) for y in nodes]
+    res_coeffs = modlin.interpolate(nodes, values, p)
     if not res_coeffs:
         raise GeometryError("improper intersection: the curves share a component")
 
     found: set[ProjPoint] = set()
-    for y0 in modlin.poly_roots(res_coeffs, p):
-        fc = [_eval_slice(fs[k], y0, 1, p) for k in range(d + 1)]
-        hc = [_eval_slice(hs[k], y0, 1, p) for k in range(s + 1)]
-        g = modlin.poly_gcd(fc, hc, p)
+    for a in [node(y) for y in modlin.poly_roots(res_coeffs, p)] + [c1]:
+        g = modlin.poly_gcd(*restrictions(a), p)
         if len(g) > 1:
-            for x0 in modlin.poly_roots(g, p):
-                found.add(proj_point(x0, y0, 1, p))
-    # fiber at z = 0
-    fc0 = [_eval_slice(fs[k], 1, 0, p) for k in range(d + 1)]
-    hc0 = [_eval_slice(hs[k], 1, 0, p) for k in range(s + 1)]
-    g0 = modlin.poly_gcd(fc0, hc0, p)
-    if len(g0) > 1:
-        for x0 in modlin.poly_roots(g0, p):
-            found.add(proj_point(x0, 1, 0, p))
-    q = ProjPoint((1, 0, 0))
-    if f2.contains(q) and h2.contains(q):
-        found.add(q)
-
-    if matrix is not None:
-        mapped = set()
-        for q in found:
-            v = modlin.matmul(matrix, q.coords, p)
-            mapped.add(proj_point(int(v[0]), int(v[1]), int(v[2]), p))
-        found = mapped
+            for t in modlin.poly_roots(g, p):
+                found.add(proj_point(*(u + t * v for u, v in zip(a, b)), p))
     for q in found:
         if not (f.contains(q) and h.contains(q)):
             raise GeometryError("internal error: intersection point fails verification")

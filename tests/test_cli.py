@@ -164,10 +164,15 @@ def test_byte_identical_output(capsys):
 
 
 # Fixed input files: the Fermat quartic at p=10007, a line cutting it in four
-# rational points, and a smooth quartic at p=101.
+# rational points, two conics (a pair of such lines, off (1:0:0), and one
+# through (1:0:0) and four points of y.txt) and a smooth quartic at p=101.
 GOLDEN_INPUTS = {
     "q.txt": "p=10007\n0 0 4 1\n0 4 0 1\n4 0 0 1\n",
     "line.txt": "p=10007\n0 0 1 9535\n0 1 0 8333\n1 0 0 5475\n",
+    "conic.txt": (
+        "p=10007\n0 0 2 4813\n0 1 1 9036\n0 2 0 488\n1 0 1 1515\n1 1 0 1229\n2 0 0 4742\n"
+    ),
+    "conic_e1.txt": "p=10007\n0 0 2 1\n0 1 1 2721\n0 2 0 104\n1 0 1 5776\n1 1 0 43\n",
     "c101.txt": (
         "p=101\n0 0 4 46\n0 1 3 1\n0 2 2 56\n0 3 1 99\n0 4 0 67\n1 0 3 31\n1 1 2 20\n"
         "1 2 1 13\n1 3 0 8\n2 0 2 51\n2 1 1 71\n2 2 0 60\n3 0 1 61\n3 1 0 13\n4 0 0 58\n"
@@ -186,6 +191,11 @@ GOLDEN_CALLS = (
     ("dim --curve q.txt --points y.txt", '{"dim": 3}'),
     ("rcs --curve q.txt --section-by line.txt --out s.txt", '{"out": "s.txt", "points": 4}'),
     ("rcs --curve q.txt --points s.txt", '{"ambient": "0,1,2,3", "rel": "1,2,3,4"}'),
+    ("rcs --curve q.txt --section-by conic.txt --out c.txt", '{"out": "c.txt", "points": 8}'),
+    (
+        "rcs --curve q.txt --section-by conic_e1.txt --allow-non-transverse --out e.txt",
+        '{"out": "e.txt", "points": 4}',
+    ),
     (
         "filtration --curve q.txt --points s.txt --t 1",
         '{"count": 4, "points": ["525 7880 1", "5395 3758 1", "7111 1085 1", "8785 6560 1"]}',
@@ -220,6 +230,11 @@ GOLDEN_OUTPUTS = {
         "9122 2450 1\n"
     ),
     "s.txt": "p=10007\n525 7880 1\n5395 3758 1\n7111 1085 1\n8785 6560 1\n",
+    "c.txt": (
+        "p=10007\n466 9872 1\n525 7880 1\n910 2120 1\n3474 357 1\n5395 3758 1\n"
+        "5829 5759 1\n7111 1085 1\n8785 6560 1\n"
+    ),
+    "e.txt": "p=10007\n1315 5049 1\n3474 357 1\n5053 5639 1\n5829 5759 1\n",
     "r.txt": "p=101\n8 38 1\n56 28 1\n84 32 1\n98 34 1\n",
 }
 
@@ -286,6 +301,15 @@ def test_malformed_input_files_exit_1(tmp_path, capsys, kind, text):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_modulus_above_the_bound_exits_1(tmp_path, capsys):
+    # 3037000507 is the first prime above MAX_MODULUS; the curve is a line
+    curve = tmp_path / "line.txt"
+    curve.write_text("p=3037000507\n0 0 1 1\n0 1 0 1\n1 0 0 1\n")
+    code, out, err = run_cli(capsys, "rcs", "--curve", str(curve), "--random", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "MAX_MODULUS" in err
 
 
 def test_table_format(capsys):

@@ -18,6 +18,7 @@ from charseq.constructions import (
 )
 from charseq.errors import DomainError, GeometryError
 from charseq.pointlab import (
+    MAX_MODULUS,
     cross,
     evaluate_terms,
     gradient_at,
@@ -218,11 +219,13 @@ def test_line_point_rows_match_line_span_points():
     ]
 
 
-@pytest.mark.parametrize("ts", [(0, 1, 2**31 + 5, 4294967310), (7, 2**32, 12345, 4294967311)])
+@pytest.mark.parametrize(
+    "ts", [(0, 1, 2**31 + 5, MAX_MODULUS - 1), (7, 2**31 + 12345, 12345, MAX_MODULUS)]
+)
 def test_line_points_are_exact_at_a_large_prime(ts):
     # a product of four lines, each through a planted point of the line ab
     # (t = p plants b itself) and a point off it
-    p = 4294967311
+    p = MAX_MODULUS
     a, b = proj_point(1, 2, 3, p), proj_point(4, 0, 1, p)
     planted = [line_point(a, b, t, p) for t in ts]
     X = None

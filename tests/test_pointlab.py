@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from charseq import constructions
+from charseq import constructions, modlin
 from charseq.constructions import (
     aligned_points_on_curve,
     curves_through,
@@ -17,7 +17,9 @@ from charseq.constructions import (
 from charseq.errors import DomainError, GeometryError
 from charseq.liaison import abs_from_rel, rel_degree
 from charseq.pointlab import (
+    MAX_MODULUS,
     PlaneCurve,
+    check_modulus,
     dim_linear_system,
     gradient_at,
     intersect_curves,
@@ -281,6 +283,27 @@ def test_point_and_curve_files_round_trip(tmp_path, quartic_big):
         load_points(cfile)  # four-field curve rows are not point rows
 
 
+def test_moduli_stop_at_the_int64_bound(tmp_path):
+    # at MAX_MODULUS ranks stay exact; at the next prime every entry point refuses
+    p = MAX_MODULUS
+    assert check_modulus(p) == p
+    rng = random.Random(0)
+    for _ in range(20):
+        a = [[rng.randrange(p) for _ in range(3)] for _ in range(8)]
+        b = [[rng.randrange(p) for _ in range(10)] for _ in range(3)]
+        assert modlin.rank(modlin.matmul(a, b, p), p) == 3
+    above = 3037000507
+    curve_file = tmp_path / "curve.txt"
+    curve_file.write_text(f"p={above}\n0 0 4 1\n")
+    for build in (
+        lambda: check_modulus(above),
+        lambda: plane_curve(above, {(0, 0, 4): 1}),
+        lambda: load_curve(curve_file),
+    ):
+        with pytest.raises(DomainError, match="MAX_MODULUS"):
+            build()
+
+
 def test_point_group_rejects_duplicates_and_strays(quartic_big):
     q = proj_point(1, 2, 3, P)
     with pytest.raises(DomainError):
@@ -319,10 +342,17 @@ def test_points_are_checked_on_their_curve_once(quartic_big, monkeypatch):
 
 def test_intersect_curves_matches_full_scan(quartic_small, quintic_small):
     # over the small field every point can be enumerated, giving an
-    # independent check of the resultant route
-    X, H = quartic_small, quintic_small
-    expected = {q for q in rational_points(X) if H.contains(q)}
-    assert set(intersect_curves(X, H)) == expected
+    # independent check of the resultant route; the second pair passes
+    # through (1:0:0), so the sweep needs another centre
+    planted = (proj_point(1, 0, 0, 101), proj_point(3, 1, 0, 101), proj_point(5, 7, 1, 101))
+    through = (
+        constructions.random_curve_through(101, 4, planted, 1),
+        constructions.random_curve_through(101, 3, planted, 2),
+    )
+    for X, H in ((quartic_small, quintic_small), through):
+        expected = {q for q in rational_points(X) if H.contains(q)}
+        assert set(intersect_curves(X, H)) == expected
+    assert set(planted) <= expected
 
 
 def test_section_points_resultant_path(quartic_small):

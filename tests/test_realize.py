@@ -381,10 +381,18 @@ def test_the_search_is_pinned(monkeypatch):
         assert (found.points, calls[0]) == (expected, nodes), (d, target, seed)
 
 
-def test_no_split_line_fails_fast():
-    # corpus_curve(101, 7) has no line through seven of its rational points
+def test_no_split_line_fails_fast(monkeypatch):
+    # corpus_curve(101, 7) has no line through seven of its rational points:
+    # split_line's proof of that ends each attempt at its first call
     X = corpus_curve(101, 7)
+    constructions = import_module("charseq.constructions")
+    calls = []
+    split_line = constructions.split_line
+    monkeypatch.setattr(
+        constructions, "split_line", lambda *a, **k: calls.append(1) or split_line(*a, **k)
+    )
     start = time.perf_counter()
-    with pytest.raises(GeometryError, match="after 4 attempts"):
+    with pytest.raises(GeometryError, match="after 4 attempts.*no fully split line exists"):
         realize(X, (1, 2, 3, 4, 5, 6, 7), seed=0, retries=4)
     assert time.perf_counter() - start < 1.0
+    assert len(calls) == 4

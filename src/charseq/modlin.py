@@ -71,6 +71,13 @@ def matmul(a, b, p: int) -> np.ndarray:
     return acc
 
 
+def reduce_rows(rows, reduced, pivots: list[int], p: int) -> np.ndarray:
+    """Each row minus its pivot-column entries times the pivot rows of an
+    ``rref`` result: zero at every pivot column, and zero throughout exactly
+    when the row lies in their span (Buchberger-Moeller's reduction)."""
+    return (rows - matmul(rows[:, pivots], reduced[: len(pivots)], p)) % p
+
+
 def rank(matrix, p: int) -> int:
     if np.asarray(matrix).size == 0:
         return 0

@@ -34,15 +34,15 @@ MAX_MODULUS = 3037000493
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Miller-Rabin to bases 2, 3, 5 and 7, which is exact below 3215031751
+    (Pomerance, Selfridge & Wagstaff 1980), so for every n <= MAX_MODULUS."""
+    if n < 11 or any(n % a == 0 for a in (2, 3, 5, 7)):
+        return n in (2, 3, 5, 7)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for a in (2, 3, 5, 7):
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
             return False
-        f += 2
     return True
 
 
@@ -318,7 +318,7 @@ def _nested_spans(coords: np.ndarray, form: np.ndarray, p: int) -> Iterator[int]
         value += len(pivots)
         yield value
         candidates = (v.T[:, None, :] * reduced[None, :, :] % p).reshape(-1, n)
-        candidates = (candidates - modlin.matmul(candidates[:, pivots], reduced, p)) % p
+        candidates = modlin.reduce_rows(candidates, reduced, pivots, p)
 
 
 def point_group(p: int, points: Iterable[ProjPoint], curve: PlaneCurve | None = None) -> PointGroup:

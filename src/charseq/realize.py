@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import compress
-from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import modlin
@@ -71,56 +70,40 @@ def filtration_points(
     """Rational points of X killed by every form of degree <= t through Y.
 
     Checking degree t alone suffices: lower-degree forms through Y reappear
-    among their degree-t multiples.  When the filtration is cut out by an
-    actual form the rational result is exact at any modulus (the form is
-    intersected with X through resultants); only the unconstrained stages,
-    which are all of X, fall back to ``candidates`` or the curve's point
-    pool, which is every rational point up to the full-scan limit.  Up to
-    that limit the whole pool is filtered through the curve's held
-    evaluation matrix of degree t (``PlaneCurve.pool_evaluation``).
+    among their degree-t multiples.  A point is killed by them exactly when
+    its degree-t evaluation row lies in the row span of Y's, so one echelon
+    form of Y's rows reduces the tested rows and the zero rows are kept.
+    Tested are ``candidates`` when given, else the whole pool up to the
+    full-scan limit (through ``PlaneCurve.pool_evaluation``), else the points
+    of X on one form through Y, exact through resultants.  Where Y imposes
+    every degree-t condition the stage is all of X: ``candidates`` or the pool.
     """
-    if t >= 0 and Y.size == 0:
-        return ()
     if t < 0:
         return _candidate_points(X, candidates)
-    kernel = curves_through(Y.p, t, Y.points)
-    if kernel.shape[0] == 0:
+    if Y.size == 0:
+        return ()
+    reduced, pivots = modlin.rref(evaluation_matrix(Y.points, t, Y.p), Y.p)
+    if len(pivots) == reduced.shape[1]:
         return _candidate_points(X, candidates)
     if candidates is None and X.p <= SMALL_FIELD_SCAN:
-        return _off_kernel(*X.pool_evaluation(t), kernel, X.p)
-    base = None
-    if candidates is None:
-        # None when the constraints vanish on all of X (multiples of the
-        # curve itself); filtering the pool is then a no-op
-        base = _kernel_section(X, kernel, t)
-    if base is None:
-        base = _candidate_points(X, candidates)
-    return _filter_by_kernel(base, kernel, t, X.p)
+        pts, rows = X.pool_evaluation(t)
+    else:
+        pts = _section_through(X, Y, t) if candidates is None else _candidate_points(X, candidates)
+        rows = evaluation_matrix(pts, t, X.p)
+    return tuple(compress(pts, ~modlin.reduce_rows(rows, reduced, pivots, X.p).any(axis=1)))
 
 
-def _filter_by_kernel(points, kernel, t: int, p: int) -> tuple[ProjPoint, ...]:
-    pts = tuple(sorted(set(points), key=attrgetter("coords")))
-    if not pts:
-        return ()
-    return _off_kernel(pts, evaluation_matrix(pts, t, p), kernel, p)
-
-
-def _off_kernel(pts, values, kernel, p: int) -> tuple[ProjPoint, ...]:
-    """The points whose evaluation row every kernel form kills."""
-    hits = modlin.matmul(values, kernel.T, p)
-    return tuple(compress(pts, ~hits.any(axis=1)))
-
-
-def _kernel_section(X: PlaneCurve, kernel, t: int) -> tuple[ProjPoint, ...] | None:
-    """Rational points of X on some kernel form, exactly; None when every
-    kernel form vanishes on all of X."""
-    for row in kernel:
+def _section_through(X: PlaneCurve, Y: PointGroup, t: int) -> tuple[ProjPoint, ...]:
+    """Rational points of X on the first degree-t form through Y that meets
+    X properly, exactly; the pool, sorted, when every such form vanishes on
+    all of X (multiples of the curve itself)."""
+    for row in curves_through(Y.p, t, Y.points):
         try:
             g = curve_from_vector(X.p, t, row)
             return section_points(X, g, require_transverse=False).points
         except GeometryError:
             continue  # zero vector, or a form sharing a component with X
-    return None
+    return tuple(sorted(point_pool(X, 600)))
 
 
 def addable_points(

@@ -59,6 +59,13 @@ from .seqcalc import (
 
 VERIFY_MODULUS = 10007
 SMALL_MODULUS = 101
+# corpus sizes: the counts every verify report carries
+ROUND_TRIP_MAX_DEGREE, ROUND_TRIP_MAX_CONE_DIM = 12, 4
+LIAISON_PARTITIONS = 20
+SHIFT_PAIRS = 50
+HALPHEN_SAMPLES = 200
+REALIZATION_MAX_DEGREE = 10
+SCAN_TRIALS = 500
 
 
 @dataclass
@@ -101,13 +108,13 @@ def enumerate_width_vectors(max_degree: int) -> Iterator[tuple[int, ...]]:
 # --- criterion 1 ---
 
 
-def check_conversion_round_trip(max_degree: int = 12, max_cone_dim: int = 4) -> CheckResult:
+def check_conversion_round_trip() -> CheckResult:
     total = 0
     bad = 0
     sample_fail = ""
-    for widths in enumerate_width_vectors(max_degree):
+    for widths in enumerate_width_vectors(ROUND_TRIP_MAX_DEGREE):
         entries = entries_from_widths(widths)
-        for cone_dim in range(1, max_cone_dim + 1):
+        for cone_dim in range(1, ROUND_TRIP_MAX_CONE_DIM + 1):
             codim = widths[1] if len(widths) > 1 else 1
             seq = CharSeq(entries, cone_dim, codim)
             back = charseq_from_phi(hilbert_function(seq))
@@ -162,18 +169,18 @@ def _plane_group(p: int, size: int, style: str, seed: int) -> PointGroup:
     return point_group(p, tuple(sorted(pts))[:size])
 
 
-def check_width_theorem(groups: int = 200, p: int = VERIFY_MODULUS) -> CheckResult:
+def check_width_theorem(groups: int = 200) -> CheckResult:
     violations = []
     styles = ("generic", "aligned", "conic")
     for k in range(groups):
         size = 1 + (k * 7) % 25
         style = styles[k % 3]
-        group = _plane_group(p, size, style, fold_seed(2024, k))
+        group = _plane_group(VERIFY_MODULUS, size, style, fold_seed(2024, k))
         seq = measure_abs(group)
         w = seq.widths
         report = validate_abs(seq)
         # an independent rank of the coordinates, not the measured phi_Y(1)
-        span = modlin.rank(group.coords_array(), p)
+        span = modlin.rank(group.coords_array(), VERIFY_MODULUS)
         problems = list(report.failures())
         if report.degenerate:
             problems.append("degenerate_vs_span")
@@ -211,22 +218,22 @@ def _lines_in_general_position(p: int, k: int, seed: int) -> PlaneCurve:
     return out
 
 
-def check_complete_intersections(p: int = VERIFY_MODULUS) -> CheckResult:
+def check_complete_intersections() -> CheckResult:
     cases = []
     for d1 in range(2, 5):
         for d2 in range(d1, 5):
             expected = ci_charseq((d1, d2))
             got = None
             for attempt in range(20):
-                c1 = _lines_in_general_position(p, d1, fold_seed(31, d1, d2, attempt))
-                c2 = _lines_in_general_position(p, d2, fold_seed(37, d1, d2, attempt))
+                c1 = _lines_in_general_position(VERIFY_MODULUS, d1, fold_seed(31, d1, d2, attempt))
+                c2 = _lines_in_general_position(VERIFY_MODULUS, d2, fold_seed(37, d1, d2, attempt))
                 try:
                     pts = intersect_curves(c1, c2, seed=attempt)
                 except GeometryError:
                     continue
                 if len(pts) != d1 * d2:
                     continue
-                got = measure_abs(point_group(p, pts))
+                got = measure_abs(point_group(c1.p, pts))
                 break
             ok = (
                 got is not None
@@ -250,20 +257,20 @@ def check_complete_intersections(p: int = VERIFY_MODULUS) -> CheckResult:
 # --- criterion 4 ---
 
 
-def check_liaison(p: int = VERIFY_MODULUS, partitions: int = 20) -> CheckResult:
+def check_liaison() -> CheckResult:
     failures = []
     total = 0
     for d in (3, 4, 5, 6):
-        X = corpus_curve(p, d)
+        X = corpus_curve(VERIFY_MODULUS, d)
         for s in (1, 2, 3):
             _, pts = split_section(X, s, seed=fold_seed(41, d, s))
             rng = random.Random(fold_seed(43, d, s))
-            for k in range(partitions):
+            for k in range(LIAISON_PARTITIONS):
                 size = rng.randrange(0, len(pts) + 1)
                 sub = tuple(sorted(rng.sample(pts, size)))
                 rest = tuple(sorted(set(pts) - set(sub)))
-                rel_y = measure_rcs(X, point_group(p, sub, X))
-                rel_res = measure_rcs(X, point_group(p, rest, X))
+                rel_y = measure_rcs(X, point_group(X.p, sub, X))
+                rel_res = measure_rcs(X, point_group(X.p, rest, X))
                 total += 1
                 linked = link(rel_y, s)
                 if linked.entries != rel_res.entries:
@@ -284,18 +291,18 @@ def check_liaison(p: int = VERIFY_MODULUS, partitions: int = 20) -> CheckResult:
 # --- criterion 5 ---
 
 
-def check_section_shift(p: int = VERIFY_MODULUS, pairs: int = 50) -> CheckResult:
+def check_section_shift() -> CheckResult:
     failures = 0
     total = 0
-    for k in range(pairs):
+    for k in range(SHIFT_PAIRS):
         d = 3 + k % 4
         s = 1 + k % 2
-        X = corpus_curve(p, d)
+        X = corpus_curve(VERIFY_MODULUS, d)
         _, sec = split_section(X, s, seed=fold_seed(53, k))
         size = 1 + k % 7
         Y = random_points_on_curve(X, size, fold_seed(59, k), avoid=sec)
         rel = measure_rcs(X, Y)
-        union = point_group(p, Y.points + sec, X)
+        union = point_group(X.p, Y.points + sec, X)
         total += 1
         if add_section(rel, s).entries != measure_rcs(X, union).entries:
             failures += 1
@@ -312,14 +319,14 @@ def check_section_shift(p: int = VERIFY_MODULUS, pairs: int = 50) -> CheckResult
 # --- criterion 6 ---
 
 
-def check_minimality_and_halphen(p: int = VERIFY_MODULUS, samples: int = 200) -> CheckResult:
+def check_minimality_and_halphen() -> CheckResult:
     styles = ("generic", "aligned", "conic", "generic")
     domination_failures = 0
     checked = 0
     k = 0
-    while checked < samples:
+    while checked < HALPHEN_SAMPLES:
         d = 3 + k % 4
-        X = corpus_curve(p, d)
+        X = corpus_curve(VERIFY_MODULUS, d)
         alpha = d + (k * 5) % (2 * d + 1)  # d <= alpha <= 3d
         style = styles[k % 4]
         k += 1
@@ -357,14 +364,14 @@ def check_minimality_and_halphen(p: int = VERIFY_MODULUS, samples: int = 200) ->
 # --- criterion 7 ---
 
 
-def check_linear_systems(p: int = VERIFY_MODULUS) -> CheckResult:
+def check_linear_systems() -> CheckResult:
     problems = []
     section_cases = 0
     for d in (4, 5, 6):
-        X = corpus_curve(p, d)
+        X = corpus_curve(VERIFY_MODULUS, d)
         for s in range(1, d - 2):
             _, sec = split_section(X, s, seed=fold_seed(67, d, s))
-            dim = dim_linear_system(X, point_group(p, sec, X))
+            dim = dim_linear_system(X, point_group(X.p, sec, X))
             section_cases += 1
             if dim != r_alpha(d, s * d):
                 problems.append((d, s, "section_dim", dim))
@@ -373,7 +380,7 @@ def check_linear_systems(p: int = VERIFY_MODULUS) -> CheckResult:
     equality_cases = 0
     for k in range(90):
         d = 4 + k % 3
-        X = corpus_curve(p, d)
+        X = corpus_curve(VERIFY_MODULUS, d)
         smax = d - 2
         alpha = max(1, (k * 7) % (smax * d))
         try:
@@ -393,10 +400,10 @@ def check_linear_systems(p: int = VERIFY_MODULUS) -> CheckResult:
                 problems.append((d, alpha, "certificate", str(err)))
 
     # engineered equality cases hitting each verdict
-    X6 = corpus_curve(p, 6)
+    X6 = corpus_curve(VERIFY_MODULUS, 6)
     _, sec12 = split_section(X6, 2, seed=fold_seed(73, 6))
     for r in (0, 1, 2):
-        Y = point_group(p, tuple(sorted(sec12))[r:], X6)
+        Y = point_group(X6.p, tuple(sorted(sec12))[r:], X6)
         verdict = classify_maximal(X6, Y, seed=r)
         if verdict.case_tag != CASE_RESIDUAL:
             problems.append(("case_i", r, verdict.case_tag))
@@ -404,13 +411,13 @@ def check_linear_systems(p: int = VERIFY_MODULUS) -> CheckResult:
     line_of, pts_of = split_section(X6, 1, seed=fold_seed(79, 6))
     other, pts_other = split_section(X6, 1, seed=fold_seed(83, 6), avoid=frozenset(pts_of))
     section2 = pts_of + pts_other
-    Y_boundary = point_group(p, tuple(sorted(set(section2) - set(pts_of[:3]))), X6)
+    Y_boundary = point_group(X6.p, tuple(sorted(set(section2) - set(pts_of[:3]))), X6)
     verdict = classify_maximal(X6, Y_boundary, seed=0)
     if verdict.case_tag != CASE_EITHER:
         problems.append(("case_iii", verdict.case_tag))
     # case ii: a full line section plus generic extras (r = 4 >= s+2 at alpha=8)
     extra = random_points_on_curve(X6, 2, fold_seed(89, 6), avoid=pts_of)
-    Y_contains = point_group(p, pts_of + extra.points, X6)
+    Y_contains = point_group(X6.p, pts_of + extra.points, X6)
     verdict = classify_maximal(X6, Y_contains, seed=0)
     if verdict.case_tag != CASE_CONTAINS or "contained_section" not in verdict.certificate:
         problems.append(("case_ii", verdict.case_tag))
@@ -429,16 +436,16 @@ def check_linear_systems(p: int = VERIFY_MODULUS) -> CheckResult:
 # --- criterion 8 ---
 
 
-def check_sextic_remark(p: int = VERIFY_MODULUS) -> CheckResult:
-    cfg = sextic_with_marked_sections(p, seed=0)
+def check_sextic_remark() -> CheckResult:
+    cfg = sextic_with_marked_sections(VERIFY_MODULUS, seed=0)
     X = cfg.curve
     special = set(cfg.line_points) | set(cfg.conic_points)
     aligned5 = tuple(sorted(cfg.line_points))[:5]
     gen4 = random_points_on_curve(X, 4, fold_seed(97, 1), avoid=special)
-    group_a = point_group(p, aligned5 + gen4.points, X)
+    group_a = point_group(X.p, aligned5 + gen4.points, X)
     conic8 = tuple(sorted(cfg.conic_points))[:8]
     gen1 = random_points_on_curve(X, 1, fold_seed(97, 2), avoid=special)
-    group_b = point_group(p, conic8 + gen1.points, X)
+    group_b = point_group(X.p, conic8 + gen1.points, X)
     pool = tuple(sorted(set(point_pool(X, 300)) | special))
 
     expected = (3, 3, 4, 4, 5, 5)
@@ -476,12 +483,12 @@ def check_sextic_remark(p: int = VERIFY_MODULUS) -> CheckResult:
 # --- criterion 9 ---
 
 
-def check_realization(p: int = SMALL_MODULUS, max_degree: int = 10) -> CheckResult:
+def check_realization() -> CheckResult:
     failures = []
     total = 0
     for d in (4, 5):
-        X = corpus_curve(p, d)
-        for target in sorted(set(enumerate_admissible(d, max_degree))):
+        X = corpus_curve(SMALL_MODULUS, d)
+        for target in sorted(set(enumerate_admissible(d, REALIZATION_MAX_DEGREE))):
             total += 1
             try:
                 Y = realize(X, target, seed=0, retries=4)
@@ -503,13 +510,13 @@ def check_realization(p: int = SMALL_MODULUS, max_degree: int = 10) -> CheckResu
 # --- criterion 10 ---
 
 
-def check_conjecture_scanner(p: int = VERIFY_MODULUS, trials: int = 500) -> CheckResult:
+def check_conjecture_scanner() -> CheckResult:
     grid = ((4, 1), (4, 2), (5, 1), (5, 2), (6, 1))
-    per = trials // len(grid)
+    per = SCAN_TRIALS // len(grid)
     violations = 0
     ran = 0
     for d, s in grid:
-        X = corpus_curve(p, d)
+        X = corpus_curve(VERIFY_MODULUS, d)
         report = conjecture_scan(X, s, per, seed=fold_seed(101, d, s))
         violations += report.violations
         ran += len(report.trials)

@@ -19,10 +19,13 @@ from charseq.constructions import (
 )
 from charseq.errors import GeometryError
 from charseq.pointlab import (
+    MAX_MODULUS,
     PointGroup,
     dim_linear_system,
+    line_points_on_curve,
     measure_abs,
     measure_rcs,
+    monomial_basis,
     phi_plane_curve,
     phi_points,
     point_group,
@@ -47,15 +50,15 @@ def scan_hilbert(Y):
     return tuple(values)
 
 
-def scan_rcs(X, Y):
+def scan_rcs(X, Y, phi=phi_points):
     """Entries of the relative sequence from the second differences of
-    psi = phi_X - phi_Y, scanned until they stabilize."""
+    psi = phi_X - phi_Y, scanned until they stabilize; ``phi`` gives phi_Y."""
     d = X.degree
     cap = d + Y.size + 2
     psi_prev2 = psi_prev = 0
     widths = []
     for l in range(cap + 1):
-        psi = phi_plane_curve(d, l) - phi_points(Y, l)
+        psi = phi_plane_curve(d, l) - phi(Y, l)
         w = psi - 2 * psi_prev + psi_prev2
         if w < 0:
             raise GeometryError(f"negative width at degree {l}")
@@ -147,6 +150,58 @@ def test_hilbert_is_the_rank_scan_up_to_saturation(case):
     r = len(values) - 1
     assert phi_points(Y, r + 1) == phi_points(Y, r + 2) == Y.size
     assert span_rank(Y) == (modlin.rank(Y.coords_array(), Y.p) if Y.size else 0)
+
+
+def bigint_phi(Y, l):
+    """phi_Y(l) as the rank of the degree-l evaluation matrix, computed by
+    Gaussian elimination on Python integers: no int64 anywhere."""
+    p = Y.p
+    if l < 0 or Y.size == 0:
+        return 0
+    rows = [
+        [pow(x, a, p) * pow(y, b, p) * pow(z, c, p) % p for a, b, c in monomial_basis(l)]
+        for x, y, z in (q.coords for q in Y.points)
+    ]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        top = [v * inv % p for v in rows[rank]]
+        rows = [
+            row if i <= rank or not row[col] else [(v - row[col] * w) % p for v, w in zip(row, top)]
+            for i, row in enumerate(rows)
+        ]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    style=st.sampled_from(("generic", "aligned", "quartic")),
+    size=st.integers(1, 25),
+    seed=st.integers(0, 10**6),
+    infinity=st.booleans(),
+)
+def test_hilbert_at_the_modulus_bound_matches_a_bigint_rank(style, size, seed, infinity):
+    # a point on z = 0 makes the scaling form y, x or a drawn line, so the
+    # points are scaled by large inverses instead of by 1
+    p = MAX_MODULUS
+    if style == "quartic":
+        X = verify.corpus_curve(p, 4)
+        far = line_points_on_curve(X, proj_point(1, 0, 0, p), proj_point(0, 1, 0, p))[:infinity]
+        rest = random_points_on_curve(X, size - len(far), seed, avoid=far)
+        Y = point_group(p, far + rest.points, X)
+        assert measure_rcs(X, Y).entries == scan_rcs(X, Y, phi=bigint_phi)
+    else:
+        Y = verify._plane_group(p, size, style, seed)
+        if infinity:
+            Y = point_group(p, Y.points[1:] + (proj_point(seed, 1, 0, p),))
+    values = Y.hilbert
+    assert values == tuple(bigint_phi(Y, l) for l in range(len(values)))
+    assert values[-1] == Y.size and all(v < Y.size for v in values[:-1])
 
 
 def plane(p):

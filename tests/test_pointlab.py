@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charseq import constructions, modlin
 from charseq.constructions import (
@@ -19,6 +21,7 @@ from charseq.liaison import abs_from_rel, rel_degree
 from charseq.pointlab import (
     MAX_MODULUS,
     PlaneCurve,
+    _is_prime,
     check_modulus,
     dim_linear_system,
     gradient_at,
@@ -302,6 +305,52 @@ def test_moduli_stop_at_the_int64_bound(tmp_path):
     ):
         with pytest.raises(DomainError, match="MAX_MODULUS"):
             build()
+
+
+def is_prime_by_trial_division(n):
+    """The primality proof ``check_modulus`` ran before Miller-Rabin."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def primes_between(lo, hi):
+    return [n for n in range(lo, hi) if is_prime_by_trial_division(n)]
+
+
+def test_miller_rabin_matches_trial_division_up_to_1e5():
+    assert [n for n in range(-2, 10**5 + 1) if _is_prime(n) != is_prime_by_trial_division(n)] == []
+
+
+def test_miller_rabin_at_its_edges():
+    # the least strong pseudoprimes to bases {2}, {2, 3} and {2, 3, 5}
+    assert not any(_is_prime(n) for n in (2047, 1373653, 25326001))
+    # 3215031751 = 151 * 751 * 28351 is the least one to bases {2, 3, 5, 7}:
+    # the test is exact only below it, and MAX_MODULUS lies below it
+    assert MAX_MODULUS < 3215031751 == 151 * 751 * 28351
+    near = range(MAX_MODULUS - 600, MAX_MODULUS + 1)
+    assert [n for n in near if _is_prime(n)] == [n for n in near if is_prime_by_trial_division(n)]
+    assert _is_prime(MAX_MODULUS) and check_modulus(MAX_MODULUS) == MAX_MODULUS
+    # products of two primes around sqrt(MAX_MODULUS), squares included
+    around = primes_between(54_800, 55_400)
+    products = [a * b for a in around for b in around if a <= b and a * b <= MAX_MODULUS]
+    assert len(products) > 500 and not any(_is_prime(n) for n in products)
+    with pytest.raises(DomainError, match="must be prime"):
+        check_modulus(max(products))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, MAX_MODULUS), odd=st.booleans())
+def test_miller_rabin_matches_trial_division_below_the_bound(n, odd):
+    n = n | 1 if odd else n
+    assert _is_prime(n) == is_prime_by_trial_division(n)
 
 
 def test_point_group_rejects_duplicates_and_strays(quartic_big):

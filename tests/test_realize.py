@@ -4,10 +4,11 @@ import time
 from importlib import import_module
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charseq.constructions import curves_through
+from charseq import modlin
+from charseq.constructions import curve_from_vector, curves_through, line_through, multiply_curves
 from charseq.errors import DomainError, GeometryError
 from charseq.liaison import RelCharSeq
 from charseq.pointlab import (
@@ -18,9 +19,9 @@ from charseq.pointlab import (
     proj_point,
     random_points_on_curve,
     rational_points,
+    section_points,
 )
 from charseq.realize import (
-    _filter_by_kernel,
     add_case,
     addable_points,
     can_add_at_level,
@@ -211,6 +212,10 @@ def test_filtration_on_big_fields(quartic_big, monkeypatch):
     assert (len(X.pool.smooth), X.pool.lines) == grown
     pts = filtration_points(X, Y, 2, candidates=Y.points)
     assert set(pts) <= set(Y.points)
+    # an empty group has an empty filtration in every degree >= 0, unread
+    empty = point_group(X.p, (), X)
+    assert all(filtration_points(X, empty, t) == () for t in range(4))
+    assert (len(X.pool.smooth), X.pool.lines) == grown
 
 
 def test_first_plateau_additions_on_the_big_field():
@@ -272,7 +277,6 @@ def test_held_pool_matrices_filter_like_the_row_loop(d, size, seed):
             continue
         oracle = filter_rows_one_by_one(point_pool(X, 600), kernel, t, X.p)
         assert got == oracle
-        assert _filter_by_kernel(point_pool(X, 600), kernel, t, X.p) == oracle
     pts, values = X.pool_evaluation(3)
     assert X.pool_evaluation(3)[1] is values  # one matrix per (curve, degree)
     assert pts == point_pool(X, 600)
@@ -396,3 +400,100 @@ def test_no_split_line_fails_fast(monkeypatch):
         realize(X, (1, 2, 3, 4, 5, 6, 7), seed=0, retries=4)
     assert time.perf_counter() - start < 1.0
     assert len(calls) == 4
+
+
+def kernel_section(X, kernel, t):
+    """Rational points of X on the first kernel form that meets X properly;
+    None when every kernel form shares a component with X."""
+    for row in kernel:
+        try:
+            return section_points(X, curve_from_vector(X.p, t, row), require_transverse=False).points
+        except GeometryError:
+            continue
+    return None
+
+
+def filtration_by_kernel(X, Y, t, candidates=None):
+    """The filtration by the kernel route the span test replaced: a basis of
+    the degree-t forms through Y, and the tested points every one kills."""
+    everything = point_pool(X, 600) if candidates is None else tuple(sorted(set(candidates)))
+    if t >= 0 and Y.size == 0:
+        return ()
+    if t < 0:
+        return everything
+    kernel = curves_through(Y.p, t, Y.points)
+    if kernel.shape[0] == 0:
+        return everything
+    if candidates is None and X.p <= 101:  # the pool, in pool order
+        hits = evaluation_matrix(everything, t, X.p) @ kernel.T % X.p
+        return tuple(q for q, row in zip(everything, hits) if not row.any())
+    if candidates is None:
+        candidates = kernel_section(X, kernel, t)
+    return filter_rows_one_by_one(everything if candidates is None else candidates, kernel, t, X.p)
+
+
+def curve_with_a_line(p):
+    """A quartic with a line component: the corpus cubic times a line."""
+    line = line_through(p, proj_point(1, 0, 1, p), proj_point(0, 1, 1, p))
+    return multiply_curves(line, corpus_curve(p, 3))
+
+
+def filtration_case(p, d, on_line, size, seed, tested):
+    X = curve_with_a_line(p) if d == "line" else corpus_curve(p, d)
+    # with more than t points on the line, every degree-t form through Y
+    # contains it, so no kernel form meets X properly
+    line_points = tuple(proj_point(1, s, 1 + s, p) for s in range(on_line if d == "line" else 0))
+    rest = random_points_on_curve(X, size, seed, avoid=line_points)
+    Y = point_group(p, line_points + rest.points, X)
+    candidates = {
+        "pool": None,
+        "candidates": Y.points + point_pool(X, 60)[seed % 3 :: 3],
+        "none": (),
+    }[tested]
+    return X, Y, candidates
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from((101, 10007)),
+    d=st.sampled_from((4, 5, 6, "line")),
+    on_line=st.integers(0, 8),
+    size=st.integers(0, 9),
+    seed=st.integers(0, 10**6),
+    tested=st.sampled_from(("pool", "candidates", "none")),
+)
+@example(p=10007, d=6, on_line=0, size=7, seed=1, tested="pool")
+@example(p=10007, d=5, on_line=0, size=0, seed=2, tested="pool")  # empty Y
+@example(p=101, d=5, on_line=0, size=9, seed=3, tested="candidates")
+@example(p=10007, d="line", on_line=6, size=2, seed=4, tested="pool")  # forms contain the line
+@example(p=101, d="line", on_line=5, size=3, seed=5, tested="pool")
+def test_the_span_test_filters_like_the_kernel_route(p, d, on_line, size, seed, tested):
+    X, Y, candidates = filtration_case(p, d, on_line, size, seed, tested)
+    oracle = {t: filtration_by_kernel(X, Y, t, candidates) for t in range(-2, 9)}
+    for t in range(-1, 9):
+        assert filtration_points(X, Y, t, candidates) == oracle[t], t
+    levels = range(0, 10)
+    got = [addable_points(X, Y, level, candidates) for level in levels]
+    first = [can_add_at_level(X, Y, level, candidates) for level in levels]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(realize_module, "filtration_points", lambda X, Y, t, c=None: oracle[t])
+        assert got == [addable_points(X, Y, level, candidates) for level in levels]
+        assert first == [can_add_at_level(X, Y, level, candidates) for level in levels]
+
+
+def test_the_filtration_and_the_search_build_no_kernel(quartic_small, monkeypatch):
+    X = quartic_small
+    Y = random_points_on_curve(X, 5, seed=4)
+    pool = point_pool(X, 600)
+    expected = [filtration_points(X, Y, t) for t in range(-1, 7)]
+    expected += [filtration_points(X, Y, t, candidates=pool[::2]) for t in range(-1, 7)]
+    found = realize(X, (3, 3, 4, 4), seed=1)
+
+    def no_kernel(*args):
+        raise AssertionError("a kernel basis was built")
+
+    monkeypatch.setattr(modlin, "kernel_basis", no_kernel)
+    got = [filtration_points(X, Y, t) for t in range(-1, 7)]
+    got += [filtration_points(X, Y, t, candidates=pool[::2]) for t in range(-1, 7)]
+    assert got == expected
+    assert realize(X, (3, 3, 4, 4), seed=1) == found

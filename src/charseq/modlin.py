@@ -87,15 +87,17 @@ def rank(matrix, p: int) -> int:
 
 def kernel_basis(matrix, p: int) -> np.ndarray:
     """Rows spanning the right kernel {x : A x = 0 mod p}."""
-    a = as_matrix(matrix, p)
-    ncols = a.shape[1]
-    red, pivots = rref(a, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-red[i, fc]) % p
+    return rref_kernel(*rref(matrix, p), p)
+
+
+def rref_kernel(reduced, pivots: list[int], p: int) -> np.ndarray:
+    """The kernel of the matrix an ``rref`` result came from, read off it:
+    one row per free column, in column order, 1 there and minus that
+    column of the pivot rows at the pivots."""
+    free = [c for c in range(reduced.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), reduced.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-reduced[: len(pivots)][:, free].T) % p
     return basis
 
 

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from . import modlin
-from .constructions import curve_from_vector, curves_through, fold_seed, split_section
+from .constructions import curve_from_vector, fold_seed, split_section
 from .errors import DomainError, GeometryError
 from .liaison import RelCharSeq, minimal_delta_seq, phi_rel
 from .pointlab import (
@@ -88,16 +90,19 @@ def filtration_points(
     if candidates is None and X.p <= SMALL_FIELD_SCAN:
         pts, rows = X.pool_evaluation(t)
     else:
-        pts = _section_through(X, Y, t) if candidates is None else _candidate_points(X, candidates)
+        if candidates is None:
+            pts = _section_through(X, t, modlin.rref_kernel(reduced, pivots, X.p))
+        else:
+            pts = _candidate_points(X, candidates)
         rows = evaluation_matrix(pts, t, X.p)
     return tuple(compress(pts, ~modlin.reduce_rows(rows, reduced, pivots, X.p).any(axis=1)))
 
 
-def _section_through(X: PlaneCurve, Y: PointGroup, t: int) -> tuple[ProjPoint, ...]:
-    """Rational points of X on the first degree-t form through Y that meets
-    X properly, exactly; the pool, sorted, when every such form vanishes on
-    all of X (multiples of the curve itself)."""
-    for row in curves_through(Y.p, t, Y.points):
+def _section_through(X: PlaneCurve, t: int, forms: np.ndarray) -> tuple[ProjPoint, ...]:
+    """Rational points of X on the first of the degree-t ``forms`` through Y
+    that meets X properly, exactly; the pool, sorted, when every such form
+    vanishes on all of X (multiples of the curve itself)."""
+    for row in forms:
         try:
             g = curve_from_vector(X.p, t, row)
             return section_points(X, g, require_transverse=False).points
@@ -125,13 +130,20 @@ def _witnesses(
     candidates: Iterable[ProjPoint] | None = None,
 ) -> tuple[ProjPoint, ...]:
     # ``addable_points`` for a group whose measured sequence ``rel`` is known
-    try:
-        add_case(rel, level)
-    except DomainError:
+    if not _raises(rel, level):
         return ()
     outer = filtration_points(X, Y, level - 2, candidates)
     inner = set(filtration_points(X, Y, level - 1, candidates))
     return tuple(q for q in outer if q not in inner)
+
+
+def _raises(rel: RelCharSeq, level: int) -> bool:
+    # whether a point added at ``level`` keeps the sequence admissible
+    try:
+        add_case(rel, level)
+    except DomainError:
+        return False
+    return True
 
 
 def can_add_at_level(
@@ -215,7 +227,8 @@ def realize(X: PlaneCurve, target: Sequence[int], seed: int = 0, retries: int = 
                 Y = point_group(X.p, pts, X)
             found = Y
             if levels:  # the base is measured once; the search carries the sequence on
-                found = _realize_dfs(X, Y, measure_rcs(X, Y), levels[::-1], rng, budget)
+                held = _PoolResiduals.of(X, Y, levels) if X.p <= SMALL_FIELD_SCAN else None
+                found = _realize_dfs(X, Y, measure_rcs(X, Y), levels[::-1], rng, budget, held)
         except GeometryError as err:
             last_error = str(err)
             continue
@@ -238,26 +251,103 @@ def _realize_dfs(
     levels: list[int],
     rng: random.Random,
     budget: list[int],
+    held: _PoolResiduals | None,
 ) -> PointGroup | None:
     # Depth-first over witness choices: a witness that exists over the
     # closure may be irrational, so a greedy chain can die and another
     # branch must be tried.  ``rel`` is Y's measured sequence: a witness at
     # ``level`` raises the one entry ``add_case`` raises, so every child's
-    # sequence is known without measuring it.
+    # sequence is known without measuring it.  ``held`` is Y's pool
+    # residuals where the search holds them, and each child gets its own.
     if not levels:
         return Y
     if budget[0] <= 0:
         return None
     budget[0] -= 1
     level, rest = levels[0], levels[1:]
-    options = list(_witnesses(X, Y, rel, level))
+    options = list(_node_witnesses(X, Y, rel, level, held))
     rng.shuffle(options)
     grown = add_case(rel, level) if options else rel
     for q in options:
-        result = _realize_dfs(X, Y.union([q]), grown, rest, rng, budget)
+        child = None if held is None else held.add(q, rest)
+        result = _realize_dfs(X, Y.union([q]), grown, rest, rng, budget, child)
         if result is not None:
             return result
     return None
+
+
+def _node_witnesses(
+    X: PlaneCurve, Y: PointGroup, rel: RelCharSeq, level: int, held: _PoolResiduals | None
+) -> tuple[ProjPoint, ...]:
+    # one search node's witnesses at ``level``: read off the held residuals,
+    # else two fresh filtrations through Y
+    if held is None:
+        return _witnesses(X, Y, rel, level)
+    return held.witnesses(level) if _raises(rel, level) else ()
+
+
+def _degrees(levels: Iterable[int]) -> list[int]:
+    # the filtration degrees that witnesses at ``levels`` are read from
+    return sorted({t for level in levels for t in (level - 1, level - 2) if t >= 0})
+
+
+@dataclass(frozen=True, eq=False)
+class _PoolResiduals:
+    """The realization search's state at p <= SMALL_FIELD_SCAN.
+
+    For each degree t in ``rows``, R_t is the pool's degree-t evaluation
+    matrix (``PlaneCurve.pool_evaluation``) reduced against the degree-t
+    rows of the current group Y, so a pool point is in the degree-t
+    filtration of Y exactly when its row of R_t is zero; for t < 0 every
+    row counts as zero.  The arrays are never written in place, so a child
+    state shares or replaces them and its parent survives backtracking.
+    """
+
+    p: int
+    index: dict[ProjPoint, int]  # each pool point's row, in pool order
+    rows: dict[int, np.ndarray]
+
+    @classmethod
+    def of(cls, X: PlaneCurve, Y: PointGroup, levels: Iterable[int]) -> "_PoolResiduals":
+        """Y's residuals in every degree that witnesses at ``levels`` need:
+        one echelon form of Y's rows per degree, and the reduction
+        (``modlin.reduce_rows``) the filtration makes; the pool matrix
+        itself for an empty Y."""
+        rows = {}
+        for t in _degrees(levels):
+            rows[t] = X.pool_evaluation(t)[1]
+            if Y.size:
+                reduced, pivots = modlin.rref(evaluation_matrix(Y.points, t, Y.p), Y.p)
+                rows[t] = modlin.reduce_rows(rows[t], reduced, pivots, X.p)
+        return cls(X.p, {q: i for i, q in enumerate(point_pool(X, 600))}, rows)
+
+    def _inside(self, t: int) -> np.ndarray:
+        # which pool points lie in the degree-t filtration
+        if t < 0:
+            return np.ones(len(self.index), dtype=bool)
+        return ~self.rows[t].any(axis=1)
+
+    def witnesses(self, level: int) -> tuple[ProjPoint, ...]:
+        """Pool points, in pool order, inside the filtration at ``level - 2``
+        and outside it at ``level - 1``."""
+        return tuple(compress(self.index, self._inside(level - 2) & ~self._inside(level - 1)))
+
+    def add(self, q: ProjPoint, levels: Iterable[int]) -> "_PoolResiduals":
+        """The residuals of Y + q in the degrees ``levels`` need.  With r
+        the row of q, scaled to 1 at its first nonzero column c, each R_t
+        becomes R_t - R_t[:, c] (x) r, one rank-1 update; where r is zero,
+        q is in the span already and R_t is shared."""
+        i, p = self.index[q], self.p
+        grown = {}
+        for t in _degrees(levels):
+            rows = self.rows[t]
+            nonzero = np.flatnonzero(rows[i])
+            if nonzero.size:
+                c = int(nonzero[0])
+                r = rows[i] * pow(int(rows[i, c]), -1, p) % p
+                rows = (rows - np.outer(rows[:, c], r)) % p
+            grown[t] = rows
+        return _PoolResiduals(p, self.index, grown)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Case additions, filtrations, and the realization search."""
 
+import random
 import time
 from importlib import import_module
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from charseq.liaison import RelCharSeq
 from charseq.pointlab import (
     evaluation_matrix,
     measure_rcs,
+    plane_curve,
     point_group,
     point_pool,
     proj_point,
@@ -168,7 +171,7 @@ def test_realize_rejects_bad_targets(quartic_small):
 
 def test_realize_exhaustion_says_what_it_tried(quartic_small, monkeypatch):
     # no witness ever: each attempt spends one search node on the first level
-    monkeypatch.setattr(realize_module, "_witnesses", lambda X, Y, rel, level: ())
+    monkeypatch.setattr(realize_module, "_node_witnesses", lambda X, Y, rel, level, held: ())
     message = (
         r"exhausted for target \(2, 2, 3, 3\) after 3 attempts and 3 search nodes "
         r"\(budget 600 per attempt\): no rational witness chain reached the target"
@@ -292,22 +295,23 @@ def test_the_search_carries_the_measured_sequence(d, target, seed):
     # at every search node the sequence handed down equals a fresh measurement
     X = corpus_curve(101, d)
     targets = sorted(set(enumerate_admissible(d, 12)))
-    witnesses = realize_module._witnesses
+    witnesses = realize_module._node_witnesses
 
-    def checked(X, Y, rel, level):
+    def checked(X, Y, rel, level, held):
         assert rel == measure_rcs(X, Y)
-        return witnesses(X, Y, rel, level)
+        return witnesses(X, Y, rel, level, held)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(realize_module, "_witnesses", checked)
+        mp.setattr(realize_module, "_node_witnesses", checked)
         try:
             realize(X, targets[target % len(targets)], seed=seed)
         except GeometryError:
             pass  # a search that runs dry still checked every node it visited
 
 
-# Points returned and search nodes spent (``_witnesses`` calls) by realize
-# on corpus_curve(101, d), recorded from a search that measured every node afresh.
+# Points returned and search nodes spent (``_node_witnesses`` calls) by
+# realize on corpus_curve(101, d), recorded from a search that measured every
+# node afresh; the sextic's is the deepest backtracking of its targets.
 PINNED_SEARCHES = [
     (4, (3, 3, 3, 3), 0, 8, "16,8,1 21,41,1 25,89,1 62,58,1 63,48,1 84,73,1"),
     (4, (2, 2, 3, 3), 1, 4, "8,38,1 56,28,1 84,32,1 98,34,1"),
@@ -365,18 +369,27 @@ PINNED_SEARCHES = [
         "63,22,1 67,4,1 75,12,1 75,38,1 77,32,1 81,20,1 84,11,1 84,55,1 98,38,1"
     ),
     (5, (2, 2, 2, 3, 4), 0, 3, "26,75,1 40,8,1 81,80,1"),
+    (6, (4, 4, 5, 6, 7, 7), 3, 416,
+        "0,80,1 4,46,1 7,86,1 17,51,1 21,72,1 24,55,1 31,21,1 32,49,1 35,73,1 "
+        "54,35,1 55,19,1 58,59,1 64,47,1 77,4,1 78,54,1 79,59,1 84,43,1 90,90,1"
+    ),
 ]
 
 
 def test_the_search_is_pinned(monkeypatch):
     calls = [0]
-    witnesses = realize_module._witnesses
+    witnesses = realize_module._node_witnesses
 
     def counted(*args):
         calls[0] += 1
         return witnesses(*args)
 
-    monkeypatch.setattr(realize_module, "_witnesses", counted)
+    def no_filtration(*args):
+        raise AssertionError("a search node took a fresh filtration")
+
+    monkeypatch.setattr(realize_module, "_node_witnesses", counted)
+    # at p <= 101 every node reads its witnesses off the held pool residuals
+    monkeypatch.setattr(realize_module, "filtration_points", no_filtration)
     for d, target, seed, nodes, points in PINNED_SEARCHES:
         X = corpus_curve(101, d)
         calls[0] = 0
@@ -497,3 +510,102 @@ def test_the_filtration_and_the_search_build_no_kernel(quartic_small, monkeypatc
     got += [filtration_points(X, Y, t, candidates=pool[::2]) for t in range(-1, 7)]
     assert got == expected
     assert realize(X, (3, 3, 4, 4), seed=1) == found
+
+
+def count_rrefs(monkeypatch):
+    """Patch ``modlin.rref`` to count its calls into the returned list."""
+    calls = [0]
+    rref = modlin.rref
+
+    def counted(*args):
+        calls[0] += 1
+        return rref(*args)
+
+    monkeypatch.setattr(modlin, "rref", counted)
+    return calls
+
+
+def test_a_large_prime_filtration_takes_one_echelon_form(monkeypatch):
+    # the span test's echelon form also gives the section form its kernel
+    X = corpus_curve(10007, 5)
+    Y = random_points_on_curve(X, 6, seed=0)
+    calls = count_rrefs(monkeypatch)
+    for t in range(1, 6):
+        calls[0] = 0
+        filtration_points(X, Y, t)
+        assert calls[0] == 1, t
+
+
+@pytest.mark.parametrize(
+    "case", [0, 3, 9, 10, 20], ids=lambda k: "-".join(map(str, PINNED_SEARCHES[k][1]))
+)
+def test_search_nodes_take_no_echelon_form(monkeypatch, case):
+    # a search's echelon forms are those of the base measurement, one per
+    # held residual degree and the final measurement, whatever its node
+    # count (5 to 416 among these pinned searches)
+    d, target, seed, _, _ = PINNED_SEARCHES[case]
+    X = corpus_curve(101, d)
+    split_section = realize_module.split_section
+    bases = []
+
+    def recorded(*args):
+        before = calls[0]
+        base = split_section(*args)
+        bases.append((base[1], calls[0] - before))
+        return base
+
+    calls = count_rrefs(monkeypatch)
+    monkeypatch.setattr(realize_module, "split_section", recorded)
+    found = realize(X, target, seed=seed)
+    total = calls[0]
+
+    def rrefs_measuring(points):
+        before = calls[0]
+        measure_rcs(X, point_group(X.p, points, X))
+        return calls[0] - before
+
+    assert len(bases) <= 1  # one attempt, on a section or the empty group
+    base, in_split = bases[0] if bases else ((), 0)
+    levels = realize_module._reduction_levels(target)[1]
+    held = len(realize_module._degrees(levels)) if base else 0  # empty: the pool matrices
+    assert total == in_split + rrefs_measuring(base) + held + rrefs_measuring(found.points)
+
+
+def nodal_cubic(p):
+    """y^2 z = x^3 + x^2 z, singular at (0:0:1), which the pool holds."""
+    return plane_curve(p, {(0, 2, 1): 1, (3, 0, 0): -1, (2, 0, 1): -1})
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    curve=st.sampled_from((4, 5, 6, "nodal cubic", "line")),
+    size=st.integers(0, 12),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+@example(curve="nodal cubic", size=0, seed=0, data=None)
+@example(curve=6, size=12, seed=1, data=None)
+def test_carried_residuals_give_the_fresh_witnesses(curve, size, seed, data):
+    # walk a random witness chain; at every node the held residuals give the
+    # witnesses of two fresh filtrations through Y, in the same order
+    if curve == "nodal cubic":
+        X = nodal_cubic(101)
+        assert not X.pool.smooth[proj_point(0, 0, 1, X.p)]
+    else:
+        X = curve_with_a_line(101) if curve == "line" else corpus_curve(101, curve)
+    Y = random_points_on_curve(X, size, seed)
+    rel, levels = measure_rcs(X, Y), range(0, 11)
+    held = realize_module._PoolResiduals.of(X, Y, levels)
+    rng = random.Random(seed)
+    for _ in range(8):
+        fresh = {level: realize_module._witnesses(X, Y, rel, level) for level in levels}
+        for level in levels:
+            assert realize_module._node_witnesses(X, Y, rel, level, held) == fresh[level], level
+        choices = [(level, q) for level in levels for q in fresh[level]]
+        if not choices:
+            break
+        level, q = data.draw(st.sampled_from(choices)) if data else rng.choice(choices)
+        parent = {t: rows.copy() for t, rows in held.rows.items()}
+        child = held.add(q, levels)
+        assert all(np.array_equal(held.rows[t], rows) for t, rows in parent.items())
+        Y, rel, held = Y.union([q]), add_case(rel, level), child

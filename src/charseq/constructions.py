@@ -146,8 +146,11 @@ def split_line(
         if any(q in avoid for q in pts):
             continue
         line = line_through(X.p, a, b)
-        # simple points only: no tangency and no singular point on the line
-        if not meets_transversally(X, line, pts):
+        # simple points only: no tangency and no singular point on the line.
+        # For d <= p the line is no component (that holds p + 1 > d points),
+        # so by Bezout its d distinct meetings are simple and the test cannot
+        # fail; for d > p a component line can hold exactly d = p + 1 points.
+        if d > X.p and not meets_transversally(X, line, pts):
             continue
         return line, pts
     raise GeometryError(

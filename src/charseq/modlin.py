@@ -24,7 +24,13 @@ def as_matrix(rows, p: int) -> np.ndarray:
 
 
 def rref(matrix, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns, first-nonzero pivoting."""
+    """Reduced row echelon form and pivot columns, first-nonzero pivoting.
+
+    Each pivot clears its column with one rank-1 update of the whole matrix;
+    the pivot row's own factor is zeroed, so it is left as it is.  The
+    update is exact in int64: a residue minus a product of two residues
+    stays within (p - 1)^2 + p < 2^63 for p <= MAX_MODULUS.
+    """
     a = as_matrix(matrix, p).copy()
     nrows, ncols = a.shape
     pivots: list[int] = []
@@ -32,18 +38,17 @@ def rref(matrix, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        other = np.nonzero(a[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        f = a[:, c].copy()
+        f[r] = 0
+        a -= np.outer(f, a[r])
+        a %= p
         pivots.append(c)
         r += 1
     return a, pivots

@@ -131,15 +131,27 @@ class PlaneCurve:
         return {(e1, e2, e3): c for e1, e2, e3, c in self.terms}
 
     def evaluate(self, q: ProjPoint) -> int:
-        return _eval_at(self.terms, q, self.p)
+        return _eval_at(self.terms, _powers(q, self.degree, self.p), self.p)
 
     def contains(self, q: ProjPoint) -> bool:
         return self.evaluate(q) == 0
 
 
-def _eval_at(terms, q: ProjPoint, p: int) -> int:
-    x, y, z = q.coords
-    return sum(c * pow(x, e1, p) * pow(y, e2, p) * pow(z, e3, p) for e1, e2, e3, c in terms) % p
+def _powers(q: ProjPoint, d: int, p: int) -> tuple[list[int], ...]:
+    """x^0..x^d, y^0..y^d and z^0..z^d of q mod p, for ``_eval_at``."""
+    tables = []
+    for v in q.coords:
+        row = [1]
+        for _ in range(d):
+            row.append(row[-1] * v % p)
+        tables.append(row)
+    return tuple(tables)
+
+
+def _eval_at(terms, powers: tuple[list[int], ...], p: int) -> int:
+    """A term list (e1,e2,e3,c) at the point whose ``_powers`` are given."""
+    xs, ys, zs = powers
+    return sum(c * xs[e1] * ys[e2] * zs[e3] for e1, e2, e3, c in terms) % p
 
 
 def cross(u: Sequence[int], v: Sequence[int], p: int) -> tuple[int, int, int]:
@@ -209,7 +221,8 @@ def _partial_dict(curve: PlaneCurve, var: int) -> dict[tuple[int, int, int], int
 
 
 def gradient_at(curve: PlaneCurve, q: ProjPoint) -> tuple[int, int, int]:
-    return tuple(_eval_at(partial, q, curve.p) for partial in curve.partials)
+    powers = _powers(q, curve.degree - 1, curve.p)
+    return tuple(_eval_at(partial, powers, curve.p) for partial in curve.partials)
 
 
 def is_singular_point(curve: PlaneCurve, q: ProjPoint) -> bool:
@@ -328,7 +341,10 @@ def point_group(p: int, points: Iterable[ProjPoint], curve: PlaneCurve | None = 
 def _group(
     p: int, checked: tuple[ProjPoint, ...], new: tuple[ProjPoint, ...], curve: PlaneCurve | None
 ) -> PointGroup:
-    # ``checked`` already lie on ``curve``; only ``new`` is evaluated on it
+    # ``checked`` already lie on ``curve``, and so do the points of a pool it
+    # holds, which admits only points found on it exactly; the rest of
+    # ``new`` is evaluated.  A pool is never built here: at small p that
+    # would enumerate the plane.
     raw = checked + new
     pts = tuple(sorted(set(raw), key=attrgetter("coords")))
     if len(pts) != len(raw):
@@ -336,7 +352,9 @@ def _group(
     if curve is not None:
         if curve.p != p:
             raise DomainError("curve modulus differs from the group modulus")
-        bad = [q for q in new if not curve.contains(q)]
+        pool = curve.__dict__.get("pool")  # the cached_property, if built
+        found = pool.smooth if pool is not None else {}
+        bad = [q for q in new if q not in found and not curve.contains(q)]
         if bad:
             raise DomainError(f"{len(bad)} point(s) do not lie on the ambient curve")
     return PointGroup(p, pts, curve)
@@ -467,30 +485,36 @@ def line_point(a: ProjPoint, b: ProjPoint, t: int, p: int) -> ProjPoint:
 
 def _restrict_to_line(curve: PlaneCurve, a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The d+1 coefficients, lowest first, of g(t) = F(a + t*b) for coordinate
-    triples a and b, which need not be normalized; the top one is F(b).
+    triples a and b, which need not be normalized or reduced; the top one
+    is F(b).
 
     Nested Horner in x and y over linear polynomials in t, exact at every p,
-    even p <= d where interpolation would run out of nodes.
+    even p <= d where interpolation would run out of nodes.  A polynomial
+    in t is packed into one integer with w bits per coefficient (Kronecker
+    substitution, as in ``modlin._pow_linear``) and reduced mod p only when
+    unpacked.  No slot carries into the next: with a and b reduced, every
+    intermediate is a sum of at most C(d+2, 2) terms c * (a product of at
+    most d factors u + v*t), where 0 <= c, u, v < p.  All coefficients are
+    nonnegative, and those of a product sum to its value at t = 1, which is
+    below (2p)^d.  So every slot stays below C(d+2, 2) * p * (2p)^d < 2^w.
     """
     p, d = curve.p, curve.degree
-    (ax, ay, az), (bx, by, bz) = a, b
+    (ax, ay, az), (bx, by, bz) = [v % p for v in a], [v % p for v in b]
+    w = (comb(d + 2, 2) * p * (2 * p) ** d).bit_length()
     coeff = curve.coeff_dict()
-    z_powers = [[1]]
+    z_powers = [1]
     for _ in range(d):
         z = z_powers[-1]
-        z_powers.append([(az * u + bz * v) % p for u, v in zip(z + [0], [0] + z)])
-    g: list[int] = []
+        z_powers.append(az * z + (bz * z << w))
+    g = 0
     for k in range(d, -1, -1):
         # h = the coefficient form of x^k, of degree m in y and z
-        m, h = d - k, []
+        m, h = d - k, 0
         for j in range(m, -1, -1):
-            c = coeff.get((k, j, m - j), 0)
-            h = [
-                (ay * u + by * v + c * w) % p
-                for u, v, w in zip(h + [0], [0] + h, z_powers[m - j])
-            ]
-        g = [(ax * u + bx * v + w) % p for u, v, w in zip(g + [0], [0] + g, h)]
-    return g
+            h = ay * h + (by * h << w) + coeff.get((k, j, m - j), 0) * z_powers[m - j]
+        g = ax * g + (bx * g << w) + h
+    mask = (1 << w) - 1
+    return [(g >> (w * i) & mask) % p for i in range(d + 1)]
 
 
 def line_points_on_curve(curve: PlaneCurve, a: ProjPoint, b: ProjPoint) -> tuple[ProjPoint, ...]:

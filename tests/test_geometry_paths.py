@@ -19,6 +19,8 @@ from charseq.constructions import (
 from charseq.errors import DomainError, GeometryError
 from charseq.pointlab import (
     MAX_MODULUS,
+    ProjPoint,
+    _restrict_to_line,
     cross,
     evaluate_terms,
     gradient_at,
@@ -28,6 +30,7 @@ from charseq.pointlab import (
     line_point,
     line_points_on_curve,
     meets_transversally,
+    monomial_basis,
     plane_curve,
     point_pool,
     proj_point,
@@ -203,6 +206,87 @@ def test_line_points_match_a_scan_of_the_line(p, d, mode, seed):
         assert len(got) == p + 1
 
 
+def restrict_by_lists(curve, a, b):
+    """``_restrict_to_line`` before it packed its polynomials, kept as the
+    oracle: the same nested Horner with each polynomial in t a list,
+    reduced mod p at every step."""
+    p, d = curve.p, curve.degree
+    (ax, ay, az), (bx, by, bz) = a, b
+    coeff = curve.coeff_dict()
+    z_powers = [[1]]
+    for _ in range(d):
+        z = z_powers[-1]
+        z_powers.append([(az * u + bz * v) % p for u, v in zip(z + [0], [0] + z)])
+    g = []
+    for k in range(d, -1, -1):
+        m, h = d - k, []
+        for j in range(m, -1, -1):
+            c = coeff.get((k, j, m - j), 0)
+            h = [
+                (ay * u + by * v + c * w) % p
+                for u, v, w in zip(h + [0], [0] + h, z_powers[m - j])
+            ]
+        g = [(ax * u + bx * v + w) % p for u, v, w in zip(g + [0], [0] + g, h)]
+    return g
+
+
+def eval_by_pow(terms, q, p):
+    """A term list at q with three ``pow`` calls per term, as before power tables."""
+    x, y, z = q.coords
+    return sum(c * pow(x, e1, p) * pow(y, e2, p) * pow(z, e3, p) for e1, e2, e3, c in terms) % p
+
+
+def sparse_curve(p, d, rng, missing):
+    """A form of degree d with about half of its monomials, coefficients
+    drawn unreduced up to 20p, and no monomial in the variable ``missing``
+    (if any), so that its partial there has no terms."""
+    basis = [e for e in monomial_basis(d) if missing is None or e[missing] == 0]
+    coeffs = {e: rng.randrange(20 * p) for e in basis if rng.random() < 0.5}
+    assume(any(c % p for c in coeffs.values()))
+    return plane_curve(p, coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5, 7, 101, 10007, MAX_MODULUS)),
+    d=st.integers(1, 10),
+    missing=st.sampled_from((None, 0, 1, 2)),
+    rng=st.randoms(use_true_random=False),
+)
+def test_packed_restriction_matches_list_horner(p, d, missing, rng):
+    # a and b as intersect_curves passes them: unnormalized and unreduced;
+    # p <= d occurs at p <= 7, and the bound is pinned at MAX_MODULUS, d = 8
+    if p == MAX_MODULUS:
+        d = 8
+    X = sparse_curve(p, d, rng, missing)
+    a = tuple(rng.randrange(20 * p + 1) for _ in range(3))
+    b = tuple(rng.choice((rng.randrange(20 * p + 1), p - 1, 20 * p)) for _ in range(3))
+    assert _restrict_to_line(X, a, b) == restrict_by_lists(X, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 101, 10007, MAX_MODULUS)),
+    d=st.integers(1, 8),
+    missing=st.sampled_from((None, 0, 1, 2)),
+    xyz=st.tuples(st.integers(0, 10**10), st.integers(0, 10**10), st.integers(0, 10**10)),
+    normalized=st.booleans(),
+    rng=st.randoms(use_true_random=False),
+)
+def test_power_tables_match_the_pow_form(p, d, missing, xyz, normalized, rng):
+    X = sparse_curve(p, d, rng, missing)
+    if normalized:
+        assume(any(v % p for v in xyz))
+        q = proj_point(*xyz, p)
+    else:
+        q = ProjPoint(xyz)  # raw coordinates, unreduced
+    value = eval_by_pow(X.terms, q, p)
+    assert X.evaluate(q) == value and X.contains(q) == (value == 0)
+    assert gradient_at(X, q) == tuple(eval_by_pow(partial, q, p) for partial in X.partials)
+    if missing is not None:
+        assert X.partials[missing] == () and gradient_at(X, q)[missing] == 0
+
+
 def test_line_points_need_two_distinct_points():
     X = corpus_curve(P, 3)
     q = rational_points(X)[0]
@@ -343,3 +427,40 @@ def test_lines_cross_on_curve_matches_the_resultant(curve, seeds, through):
     assert _lines_cross_on_curve(curve, lines) == oracle
     if through:
         assert oracle
+
+
+def test_split_line_never_returns_a_component_line_over_f2():
+    # X = z * (x^2 + xy + y^2 + z^2) over F_2: the line z = 0 is a component
+    # holding exactly 3 = deg(X) rational points, all smooth, so it is in the
+    # split-line table and is drawn; d > p, and only the tangency test
+    # rejects it
+    p = 2
+    conic = plane_curve(p, {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+    X = multiply_curves(plane_curve(p, {(0, 0, 1): 1}), conic)
+    component = proj_point(0, 0, 1, p)
+    assert len(X.split_lines.split[component]) == 3
+    assert sum(q.coords[2] == 0 for q in X.smooth_pool) == 3
+    returned = {proj_point(*line_coefficients(split_line(X, seed)[0]), p) for seed in range(30)}
+    assert returned and component not in returned
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from((3, 5, 7, P, 10007)),
+    kind=st.sampled_from(("nodal cubic", "line component", "random")),
+    d=st.integers(min_value=1, max_value=6),
+    seed=st.integers(0, 10**6),
+)
+def test_split_lines_pass_the_tangency_test(p, kind, d, seed):
+    # the test is skipped for d <= p, where Bezout makes it hold; a line
+    # component of degree p + 1 is where it is kept.  At p = 10007 a drawn
+    # line that is a component lists all its p + 1 points, so none is drawn.
+    assume(p < 10007 or (kind == "random" and 2 <= d <= 4))
+    X = table_curve(p, kind, d, seed)
+    try:
+        line, pts = split_line(X, seed)
+    except GeometryError:
+        return
+    assert len(pts) == X.degree and len(set(pts)) == len(pts)
+    assert all(line.contains(q) and X.contains(q) for q in pts)
+    assert meets_transversally(X, line, pts)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from charseq import modlin
 from charseq.errors import DomainError
+from charseq.pointlab import MAX_MODULUS
 
 P = 10007
 
@@ -60,6 +61,61 @@ def test_rank_with_forced_dependencies():
     assert modlin.rank(rows, P) == 2
     assert modlin.rank([[P, 2 * P], [3 * P, P]], P) == 0
     assert modlin.rank(np.zeros((0, 3), dtype=np.int64), P) == 0
+
+
+def rref_by_gather(matrix, p):
+    """``modlin.rref`` before its one-update pivot step, kept as the oracle:
+    each pivot gathers the other rows nonzero in its column, updates them
+    and scatters them back."""
+    a = modlin.as_matrix(matrix, p).copy()
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r] = (a[r] * inv) % p
+        other = np.nonzero(a[:, c])[0]
+        other = other[other != r]
+        if other.size:
+            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((2, 3, 101, 10007, MAX_MODULUS)),
+    st.integers(0, 10),
+    st.integers(0, 10),
+    st.integers(0, 10),
+    st.randoms(use_true_random=False),
+)
+def test_rref_matches_the_gather_loop(p, n, m, inner, rng):
+    # entries near p - 1 stress exactness at MAX_MODULUS; an n x inner times
+    # inner x m product is rank-deficient when inner < min(n, m); empty,
+    # tall and wide shapes all occur
+    draw = lambda: rng.choice((rng.randrange(p), p - 1 - rng.randrange(min(p, 3))))
+    if inner < min(n, m):
+        left = [[draw() for _ in range(inner)] for _ in range(n)]
+        right = [[draw() for _ in range(m)] for _ in range(inner)]
+        rows = [[sum(u * right[t][j] for t, u in enumerate(row)) % p for j in range(m)] for row in left]
+    else:
+        rows = [[draw() for _ in range(m)] for _ in range(n)]
+    matrix = np.array(rows, dtype=np.int64).reshape(n, m)
+    reduced, pivots = modlin.rref(matrix, p)
+    expected, expected_pivots = rref_by_gather(matrix, p)
+    assert pivots == expected_pivots
+    assert reduced.dtype == expected.dtype and reduced.shape == expected.shape
+    assert reduced.tolist() == expected.tolist()
 
 
 def test_kernel_is_exact_nullspace():

@@ -27,6 +27,7 @@ from charseq.pointlab import (
     gradient_at,
     intersect_curves,
     is_singular_point,
+    line_points_on_curve,
     load_curve,
     load_points,
     measure_abs,
@@ -38,6 +39,7 @@ from charseq.pointlab import (
     point_group,
     proj_point,
     random_points_on_curve,
+    random_proj_point,
     rational_points,
     save_curve,
     save_points,
@@ -373,9 +375,18 @@ def test_points_are_checked_on_their_curve_once(quartic_big, monkeypatch):
     measure_rcs(X, Y)
     dim_linear_system(X, Y)
     assert calls == []
-    # a union checks the new points only
-    grown = Y.union(extra)
-    assert calls == list(extra)
+    # a union evaluates only the new points that X's pool does not hold,
+    # since the pool admits only points found on X exactly
+    rng = random.Random(5)
+    outside = []
+    while len(outside) < 2:
+        a, b = random_proj_point(rng, P), random_proj_point(rng, P)
+        if a != b:
+            outside += [q for q in line_points_on_curve(X, a, b) if q not in X.pool.smooth]
+    outside = outside[:2]
+    assert set(extra) <= set(X.pool.smooth)
+    grown = Y.union(list(extra) + outside)
+    assert calls == outside
     del calls[:]
     # a group with no curve, or built on another curve, is checked point by point
     on_no_curve = point_group(P, grown.points)
@@ -387,6 +398,19 @@ def test_points_are_checked_on_their_curve_once(quartic_big, monkeypatch):
     assert calls == 4 * list(grown.points)
     with pytest.raises(DomainError, match="do not lie on the ambient curve"):
         Y.union([proj_point(1, 0, 0, P)])
+
+
+def test_a_group_builds_no_pool_to_check_its_points(monkeypatch):
+    # at p <= 101 a pool is the whole plane scanned; a curve that holds none
+    # has its points evaluated instead, and still holds none afterwards
+    X = plane_curve(101, fermat_curve(101, 4).terms)
+    pts = rational_points(X)[:6]
+    calls = []
+    contains = PlaneCurve.contains
+    monkeypatch.setattr(PlaneCurve, "contains", lambda curve, q: calls.append(q) or contains(curve, q))
+    point_group(101, pts[:5], X).union(pts[5:])
+    assert "pool" not in vars(X)
+    assert calls == list(pts)
 
 
 def test_intersect_curves_matches_full_scan(quartic_small, quintic_small):

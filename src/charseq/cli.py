@@ -243,6 +243,8 @@ def _run_genus(args) -> dict:
     if args.rel is not None:
         rel = _plane_rel(args)
         return {"genus": genus_acm_curve(rel, args.alpha)}
+    if args.section is None:
+        raise UsageError("genus needs --section or --rel")
     seq = CharSeq(_seq(args.section), 1, _default_codim(_seq(args.section)))
     return {"genus": genus_acm_curve(seq, args.alpha)}
 

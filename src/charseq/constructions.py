@@ -276,9 +276,7 @@ class SexticConfig:
     """
 
     curve: PlaneCurve
-    line: PlaneCurve
     line_points: tuple[ProjPoint, ...]
-    conic: PlaneCurve
     conic_points: tuple[ProjPoint, ...]
 
 
@@ -350,4 +348,4 @@ def _try_sextic(p: int, rng: random.Random) -> SexticConfig | None:
     special = set(full_line_pts) | set(conic_pts)
     if any(is_singular_point(sextic, q) for q in special):
         return None
-    return SexticConfig(sextic, line, full_line_pts, conic, tuple(sorted(conic_pts)))
+    return SexticConfig(sextic, full_line_pts, tuple(sorted(conic_pts)))

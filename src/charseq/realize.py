@@ -132,8 +132,9 @@ def _witnesses(
     # ``addable_points`` for a group whose measured sequence ``rel`` is known
     if not _raises(rel, level):
         return ()
+    # the stages are nested: the one at ``level - 1`` is among outer's points
     outer = filtration_points(X, Y, level - 2, candidates)
-    inner = set(filtration_points(X, Y, level - 1, candidates))
+    inner = set(filtration_points(X, Y, level - 1, outer))
     return tuple(q for q in outer if q not in inner)
 
 
@@ -196,16 +197,17 @@ def enumerate_admissible(d: int, max_degree: int) -> Iterator[tuple[int, ...]]:
 
 
 DFS_BUDGET = 600  # search nodes per realize attempt
+ATTEMPTS = 3  # realize attempts, each on a fresh base section and witness order
 
 
-def realize(X: PlaneCurve, target: Sequence[int], seed: int = 0, retries: int = 3) -> PointGroup:
+def realize(X: PlaneCurve, target: Sequence[int], seed: int = 0) -> PointGroup:
     """Construct a point group on X whose measured sequence equals ``target``.
 
     The target is stripped to its staircase base (realized by a transverse
     section, or the empty group), then rebuilt one point at a time through
-    the filtration witnesses.  Retries re-randomize both the base section
-    and the witness choices; exhaustion raises GeometryError saying how
-    many attempts and search nodes it spent.
+    the filtration witnesses.  Each of the ``ATTEMPTS`` re-randomizes both
+    the base section and the witness choices; exhaustion raises
+    GeometryError saying how many attempts and search nodes it spent.
     """
     goal = tuple(int(v) for v in target)
     if len(goal) != X.degree:
@@ -214,17 +216,14 @@ def realize(X: PlaneCurve, target: Sequence[int], seed: int = 0, retries: int = 
         raise DomainError(f"inadmissible target {goal}")
     staircase, levels = _reduction_levels(goal)
     base_degree = staircase[0]
-    attempts, nodes = max(retries, 1), 0
+    nodes = 0
     last_error = "no witness available"
-    for attempt in range(attempts):
+    for attempt in range(ATTEMPTS):
         rng = random.Random(fold_seed(seed, attempt, 40699))
         budget = [DFS_BUDGET]
         try:
-            if base_degree == 0:
-                Y = point_group(X.p, (), X)
-            else:
-                _, pts = split_section(X, base_degree, rng.randrange(2**30))
-                Y = point_group(X.p, pts, X)
+            pts = split_section(X, base_degree, rng.randrange(2**30))[1] if base_degree else ()
+            Y = point_group(X.p, pts, X)
             found = Y
             if levels:  # the base is measured once; the search carries the sequence on
                 held = _PoolResiduals.of(X, Y, levels) if X.p <= SMALL_FIELD_SCAN else None
@@ -238,7 +237,7 @@ def realize(X: PlaneCurve, target: Sequence[int], seed: int = 0, retries: int = 
             return found
         last_error = "no rational witness chain reached the target"
     raise GeometryError(
-        f"realization search exhausted for target {goal} after {attempts} attempts and "
+        f"realization search exhausted for target {goal} after {ATTEMPTS} attempts and "
         f"{nodes} search nodes (budget {DFS_BUDGET} per attempt): {last_error} "
         "(try a different seed or a larger modulus)"
     )
@@ -280,7 +279,7 @@ def _node_witnesses(
     X: PlaneCurve, Y: PointGroup, rel: RelCharSeq, level: int, held: _PoolResiduals | None
 ) -> tuple[ProjPoint, ...]:
     # one search node's witnesses at ``level``: read off the held residuals,
-    # else two fresh filtrations through Y
+    # else a fresh witness set through Y
     if held is None:
         return _witnesses(X, Y, rel, level)
     return held.witnesses(level) if _raises(rel, level) else ()
@@ -299,8 +298,10 @@ class _PoolResiduals:
     matrix (``PlaneCurve.pool_evaluation``) reduced against the degree-t
     rows of the current group Y, so a pool point is in the degree-t
     filtration of Y exactly when its row of R_t is zero; for t < 0 every
-    row counts as zero.  The arrays are never written in place, so a child
-    state shares or replaces them and its parent survives backtracking.
+    row counts as zero.  The state starts from the pool matrices (those of
+    the empty group) and grows by ``add``, base points and witnesses alike.
+    The arrays are never written in place, so a child state shares or
+    replaces them and its parent survives backtracking.
     """
 
     p: int
@@ -310,16 +311,12 @@ class _PoolResiduals:
     @classmethod
     def of(cls, X: PlaneCurve, Y: PointGroup, levels: Iterable[int]) -> "_PoolResiduals":
         """Y's residuals in every degree that witnesses at ``levels`` need:
-        one echelon form of Y's rows per degree, and the reduction
-        (``modlin.reduce_rows``) the filtration makes; the pool matrix
-        itself for an empty Y."""
-        rows = {}
-        for t in _degrees(levels):
-            rows[t] = X.pool_evaluation(t)[1]
-            if Y.size:
-                reduced, pivots = modlin.rref(evaluation_matrix(Y.points, t, Y.p), Y.p)
-                rows[t] = modlin.reduce_rows(rows[t], reduced, pivots, X.p)
-        return cls(X.p, {q: i for i, q in enumerate(point_pool(X, 600))}, rows)
+        the pool matrices, with Y's points added one at a time."""
+        index = {q: i for i, q in enumerate(point_pool(X, 600))}
+        held = cls(X.p, index, {t: X.pool_evaluation(t)[1] for t in _degrees(levels)})
+        for q in Y.points:
+            held = held.add(q, levels)
+        return held
 
     def _inside(self, t: int) -> np.ndarray:
         # which pool points lie in the degree-t filtration

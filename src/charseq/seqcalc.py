@@ -104,9 +104,11 @@ def phi_from_charseq(seq: CharSeq, l: int) -> int:
     """Hilbert function value: sum of C(m + l - m_i, m) with m = cone_dim - 1.
 
     Binomials with l < m_i contribute nothing, so the value is 0 for l < 0
-    and for the empty sequence.
+    and for the empty sequence.  At cone_dim 0 it counts the entries equal to l.
     """
     m = seq.cone_dim - 1
+    if m < 0:
+        return seq.entries.count(l)
     return sum(comb(m + l - mi, m) for mi in seq.entries if l >= mi)
 
 

@@ -491,7 +491,7 @@ def check_realization() -> CheckResult:
         for target in sorted(set(enumerate_admissible(d, REALIZATION_MAX_DEGREE))):
             total += 1
             try:
-                Y = realize(X, target, seed=0, retries=4)
+                Y = realize(X, target, seed=0)
             except GeometryError as err:
                 failures.append((d, target, str(err)))
                 continue

@@ -272,6 +272,11 @@ def test_exit_codes(capsys):
         with pytest.raises(SystemExit) as exc:
             main(removed)
         assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["genus", "--alpha", "3"])  # neither --section nor --rel
+    assert exc.value.code == 2
+    code, out, _ = run_cli(capsys, "charseq", "--seq", "0,1", "--eval", "2", "--cone-dim", "0")
+    assert code == 0 and json.loads(out)["phi"] == 0
     capsys.readouterr()
 
 

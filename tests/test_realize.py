@@ -177,7 +177,7 @@ def test_realize_exhaustion_says_what_it_tried(quartic_small, monkeypatch):
         r"\(budget 600 per attempt\): no rational witness chain reached the target"
     )
     with pytest.raises(GeometryError, match=message):
-        realize(quartic_small, (2, 2, 3, 3), seed=0, retries=3)
+        realize(quartic_small, (2, 2, 3, 3), seed=0)
 
 
 def test_realize_empty_target(quartic_small):
@@ -409,10 +409,10 @@ def test_no_split_line_fails_fast(monkeypatch):
         constructions, "split_line", lambda *a, **k: calls.append(1) or split_line(*a, **k)
     )
     start = time.perf_counter()
-    with pytest.raises(GeometryError, match="after 4 attempts.*no fully split line exists"):
-        realize(X, (1, 2, 3, 4, 5, 6, 7), seed=0, retries=4)
+    with pytest.raises(GeometryError, match="after 3 attempts.*no fully split line exists"):
+        realize(X, (1, 2, 3, 4, 5, 6, 7), seed=0)
     assert time.perf_counter() - start < 1.0
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def kernel_section(X, kernel, t):
@@ -525,6 +525,32 @@ def count_rrefs(monkeypatch):
     return calls
 
 
+def test_a_large_prime_witness_set_takes_one_section(monkeypatch):
+    # the stage at level - 1 is tested among the points of the stage at
+    # level - 2, so only the outer stage is found on a section, and only
+    # where a form of degree level - 2 runs through Y
+    X = corpus_curve(10007, 5)
+    calls = [0]
+    section_through = realize_module._section_through
+
+    def counted(*args):
+        calls[0] += 1
+        return section_through(*args)
+
+    monkeypatch.setattr(realize_module, "_section_through", counted)
+    sections = []
+    for size in (3, 6, 8, 10, 12, 14):
+        Y = random_points_on_curve(X, size, seed=0)
+        rel = measure_rcs(X, Y)
+        for level in (level for level in range(2, 10) if realize_module._raises(rel, level)):
+            calls[0] = 0
+            realize_module._witnesses(X, Y, rel, level)
+            forms = curves_through(X.p, level - 2, Y.points).shape[0] > 0
+            assert calls[0] == forms, (size, level)
+            sections.append(calls[0])
+    assert sections.count(1) >= 3  # not vacuous: three witness sets take a section
+
+
 def test_a_large_prime_filtration_takes_one_echelon_form(monkeypatch):
     # the span test's echelon form also gives the section form its kernel
     X = corpus_curve(10007, 5)
@@ -540,9 +566,9 @@ def test_a_large_prime_filtration_takes_one_echelon_form(monkeypatch):
     "case", [0, 3, 9, 10, 20], ids=lambda k: "-".join(map(str, PINNED_SEARCHES[k][1]))
 )
 def test_search_nodes_take_no_echelon_form(monkeypatch, case):
-    # a search's echelon forms are those of the base measurement, one per
-    # held residual degree and the final measurement, whatever its node
-    # count (5 to 416 among these pinned searches)
+    # a search's echelon forms are those of its split section, the base
+    # measurement and the final measurement, whatever its node count (5 to
+    # 416 among these pinned searches): the held residuals take none
     d, target, seed, _, _ = PINNED_SEARCHES[case]
     X = corpus_curve(101, d)
     split_section = realize_module.split_section
@@ -566,9 +592,7 @@ def test_search_nodes_take_no_echelon_form(monkeypatch, case):
 
     assert len(bases) <= 1  # one attempt, on a section or the empty group
     base, in_split = bases[0] if bases else ((), 0)
-    levels = realize_module._reduction_levels(target)[1]
-    held = len(realize_module._degrees(levels)) if base else 0  # empty: the pool matrices
-    assert total == in_split + rrefs_measuring(base) + held + rrefs_measuring(found.points)
+    assert total == in_split + rrefs_measuring(base) + rrefs_measuring(found.points)
 
 
 def nodal_cubic(p):
@@ -576,9 +600,57 @@ def nodal_cubic(p):
     return plane_curve(p, {(0, 2, 1): 1, (3, 0, 0): -1, (2, 0, 1): -1})
 
 
+def residual_curve(curve):
+    """The F_101 curves the held residuals are tested on."""
+    if curve == "nodal cubic":
+        X = nodal_cubic(101)
+        assert not X.pool.smooth[proj_point(0, 0, 1, X.p)]
+        return X
+    return curve_with_a_line(101) if curve == "line" else corpus_curve(101, curve)
+
+
+RESIDUAL_CURVES = st.sampled_from((4, 5, 6, "nodal cubic", "line"))
+
+
+def residuals_by_echelon_forms(X, Y, levels):
+    """The residuals by the route ``_PoolResiduals.of`` once took: in each
+    held degree the pool matrix reduced against one echelon form of Y's
+    rows; the pool matrix itself for an empty Y."""
+    rows = {}
+    for t in realize_module._degrees(levels):
+        rows[t] = X.pool_evaluation(t)[1]
+        if Y.size:
+            reduced, pivots = modlin.rref(evaluation_matrix(Y.points, t, Y.p), Y.p)
+            rows[t] = modlin.reduce_rows(rows[t], reduced, pivots, X.p)
+    return rows
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    curve=st.sampled_from((4, 5, 6, "nodal cubic", "line")),
+    curve=RESIDUAL_CURVES,
+    size=st.integers(0, 12),
+    seed=st.integers(0, 10**6),
+    top=st.integers(0, 10),
+)
+@example(curve="nodal cubic", size=12, seed=0, top=10)
+@example(curve="line", size=12, seed=1, top=10)
+@example(curve=6, size=0, seed=2, top=3)
+def test_residuals_from_the_pool_match_the_echelon_route(curve, size, seed, top):
+    # the pool matrices with Y's points added one at a time have the zero
+    # rows, the filtration, of the pool reduced against Y's echelon forms
+    X = residual_curve(curve)
+    Y = random_points_on_curve(X, size, seed)
+    levels = range(0, top + 1)
+    held = realize_module._PoolResiduals.of(X, Y, levels)
+    oracle = residuals_by_echelon_forms(X, Y, levels)
+    assert held.rows.keys() == oracle.keys()
+    for t, rows in oracle.items():
+        assert np.array_equal(held.rows[t].any(axis=1), rows.any(axis=1)), t
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    curve=RESIDUAL_CURVES,
     size=st.integers(0, 12),
     seed=st.integers(0, 10**6),
     data=st.data(),
@@ -587,12 +659,8 @@ def nodal_cubic(p):
 @example(curve=6, size=12, seed=1, data=None)
 def test_carried_residuals_give_the_fresh_witnesses(curve, size, seed, data):
     # walk a random witness chain; at every node the held residuals give the
-    # witnesses of two fresh filtrations through Y, in the same order
-    if curve == "nodal cubic":
-        X = nodal_cubic(101)
-        assert not X.pool.smooth[proj_point(0, 0, 1, X.p)]
-    else:
-        X = curve_with_a_line(101) if curve == "line" else corpus_curve(101, curve)
+    # witnesses of a fresh witness set through Y, in the same order
+    X = residual_curve(curve)
     Y = random_points_on_curve(X, size, seed)
     rel, levels = measure_rcs(X, Y), range(0, 11)
     held = realize_module._PoolResiduals.of(X, Y, levels)

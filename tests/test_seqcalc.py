@@ -3,7 +3,7 @@
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charseq.errors import DomainError, NotConsistentError
@@ -66,6 +66,8 @@ def test_widths_helpers_invert_each_other():
         ((0, 1, 1, 2), 1, 2, 4),
         ((0, 1, 1, 2), 1, 7, 4),
         ((0, 1, 2), 2, -1, 0),
+        ((0, 1, 1, 2), 0, 1, 2),  # cone_dim 0: the width
+        ((0, 1, 1, 2), 0, 3, 0),
     ],
 )
 def test_phi_from_charseq_examples(entries, cone_dim, l, expected):
@@ -97,8 +99,9 @@ def test_charseq_from_phi_rejects_negative_widths():
         charseq_from_phi(HilbertFn((1, 3, 2, 2, 2), 1))
 
 
-@given(width_vectors(), st.integers(min_value=1, max_value=4))
+@given(width_vectors(), st.integers(min_value=0, max_value=4))
 @settings(max_examples=150)
+@example(widths=[1, 2, 1], cone_dim=0)  # the 0-fold case: the values are the widths
 def test_conversion_round_trip(widths, cone_dim):
     entries = entries_from_widths(widths)
     codim = widths[1] if len(widths) > 1 else 1

@@ -2,7 +2,8 @@
 
 Every subcommand maps onto library operations; output is JSON by default
 (sorted keys, no timestamps, byte-identical for identical inputs) or an
-aligned text table with ``--format table``.  Exit codes: 0 success,
+aligned text table with ``--format table``.  A result dataclass is encoded
+as its fields, by ``dataclasses.asdict``.  Exit codes: 0 success,
 1 domain/geometry error, 2 usage error.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import verify as verify_mod
 from .errors import CharseqError
@@ -57,13 +59,13 @@ from .seqcalc import (
     bound_codim2,
     charseq_from_phi,
     ci_charseq,
+    default_codim,
     is_gorenstein_symmetric,
     phi_from_charseq,
     plane_curve_charseq,
     separation_index,
     seq_included,
     validate_abs,
-    widths_from_entries,
 )
 
 
@@ -88,7 +90,7 @@ def _emit(payload: dict, fmt: str) -> None:
     width = max((len(k) for k in payload), default=0)
     for key in sorted(payload):
         value = payload[key]
-        if isinstance(value, (dict, list)):
+        if isinstance(value, (dict, list, tuple)):
             value = json.dumps(value, sort_keys=True)
         print(f"{key.ljust(width)}  {value}")
 
@@ -101,15 +103,10 @@ def _rel_payload(rel: RelCharSeq) -> dict:
     return {"rel": _join(rel.entries), "ambient": _join(rel.ambient.entries)}
 
 
-def _charseq_from_args(args, attr="seq") -> CharSeq:
-    entries = _seq(getattr(args, attr))
-    codim = args.codim if args.codim is not None else _default_codim(entries)
+def _charseq_from_args(args) -> CharSeq:
+    entries = _seq(args.seq)
+    codim = args.codim if args.codim is not None else default_codim(entries)
     return CharSeq(entries, args.cone_dim, codim)
-
-
-def _default_codim(entries) -> int:
-    w = widths_from_entries(entries) if entries else ()
-    return w[1] if len(w) > 1 and w[1] > 0 else 1
 
 
 def _rel_from_args(args) -> RelCharSeq:
@@ -130,12 +127,12 @@ def _run_macaulay(args) -> dict:
         check = is_zero_sequence(
             list(_seq(args.zero_seq)), start_degree=args.start_degree, cone_rule=not args.raw
         )
-        return check.to_json()
+        return asdict(check)
     if args.c is None or args.d is None:
         raise UsageError("macaulay needs --c and --d (or --zero-seq)")
     if args.next:
         return {"next": macaulay_next(args.c, args.d)}
-    return macaulay_rep(args.c, args.d).to_json()
+    return asdict(macaulay_rep(args.c, args.d))
 
 
 def _run_charseq(args) -> dict:
@@ -160,7 +157,7 @@ def _run_charseq(args) -> dict:
     if args.separation:
         return {"separation_index": separation_index(seq)}
     if args.included_in is not None:
-        other = CharSeq(_seq(args.included_in), args.cone_dim, _default_codim(_seq(args.included_in)))
+        other = CharSeq(_seq(args.included_in), args.cone_dim, default_codim(_seq(args.included_in)))
         return {"included": seq_included(seq, other)}
     raise UsageError("charseq: choose an action (--eval/--validate/--gorenstein/...)")
 
@@ -187,7 +184,7 @@ def _run_rcs(args) -> dict:
         raise UsageError("rcs with --rel needs --to-abs, --degree, or --eval")
     if args.abs_seq is not None and args.ambient is not None:
         ambient = CharSeq(_seq(args.ambient), args.cone_dim, args.codim if args.codim else 1)
-        abs_y = CharSeq(_seq(args.abs_seq), args.cone_dim - 1, _default_codim(_seq(args.abs_seq)))
+        abs_y = CharSeq(_seq(args.abs_seq), args.cone_dim - 1, default_codim(_seq(args.abs_seq)))
         return _rel_payload(rel_from_abs(ambient, abs_y))
     if args.points is None:
         raise UsageError("rcs needs point input (--points) or sequence flags")
@@ -232,7 +229,7 @@ def _run_split(args) -> dict:
     result = split_on_gap(rel)
     if result is None:
         return {"gap": None}
-    return result.to_json() | {"gap": result.gap_index}
+    return asdict(result) | {"gap": result.gap_index}
 
 
 def _run_minimal(args) -> dict:
@@ -245,7 +242,7 @@ def _run_genus(args) -> dict:
         return {"genus": genus_acm_curve(rel, args.alpha)}
     if args.section is None:
         raise UsageError("genus needs --section or --rel")
-    seq = CharSeq(_seq(args.section), 1, _default_codim(_seq(args.section)))
+    seq = CharSeq(_seq(args.section), 1, default_codim(_seq(args.section)))
     return {"genus": genus_acm_curve(seq, args.alpha)}
 
 
@@ -270,13 +267,12 @@ def _run_classify(args) -> dict:
         if args.d is None or args.alpha is None or args.i is None:
             raise UsageError("sequence classification needs --d, --alpha, and --i")
         rel = _plane_rel(args)
-        verdict = classify_equal_phi(rel, args.d, args.alpha, args.i)
-        return verdict.to_json()
+        return asdict(classify_equal_phi(rel, args.d, args.alpha, args.i))
     if not args.curve or not args.points:
         raise UsageError("classify needs --curve and --points (or --rel with --d/--alpha/--i)")
     curve = load_curve(args.curve)
     group = load_points(args.points, curve)
-    return classify_maximal(curve, group, seed=args.seed).to_json()
+    return asdict(classify_maximal(curve, group, seed=args.seed))
 
 
 def _run_realize(args) -> dict:
@@ -312,8 +308,7 @@ def _run_filtration(args) -> dict:
 
 def _run_conjecture_scan(args) -> dict:
     curve = load_curve(args.curve)
-    report = conjecture_scan(curve, args.s, args.trials, seed=args.seed)
-    return report.to_json()
+    return asdict(conjecture_scan(curve, args.s, args.trials, seed=args.seed))
 
 
 def _run_verify(args) -> dict:

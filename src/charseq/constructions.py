@@ -236,11 +236,8 @@ def mixed_random_group(X: PlaneCurve, size: int, seed: int, style: str = "generi
     if style == "aligned":
         k = min(X.degree, max(3, size // 2), size)
         block = aligned_points_on_curve(X, k, rng.randrange(2**30))
-        rest = random_points_on_curve(
-            X, size - k, rng.randrange(2**30), avoid=block
-        )
-        return point_group(X.p, block + rest.points, X)
-    block = _conic_block(X, min(size, 6), rng.randrange(2**30))
+    else:
+        block = _conic_block(X, min(size, 6), rng.randrange(2**30))
     rest = random_points_on_curve(X, size - len(block), rng.randrange(2**30), avoid=block)
     return point_group(X.p, block + rest.points, X)
 

@@ -71,13 +71,6 @@ class RelCharSeq:
                 out.append("composite_widths_not_zero_sequence")
         return tuple(out)
 
-    def to_json(self) -> dict:
-        return {"entries": list(self.entries), "ambient": self.ambient.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RelCharSeq":
-        return cls(tuple(data["entries"]), CharSeq.from_json(data["ambient"]))
-
 
 def _composite_widths(ambient: CharSeq, n: tuple[int, ...]) -> tuple[int, ...]:
     # Widths of the absolute sequence of Y: c_i - d_i with c_i = #{m_j <= i},
@@ -209,15 +202,6 @@ class GapSplit:
     gap_index: int
     section_degree: int
     note: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "low": self.low.to_json(),
-            "high": self.high.to_json(),
-            "gap_index": self.gap_index,
-            "section_degree": self.section_degree,
-            "note": self.note,
-        }
 
 
 def split_on_gap(rel: RelCharSeq) -> GapSplit | None:

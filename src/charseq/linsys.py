@@ -59,16 +59,6 @@ class EqualPhiVerdict:
     vacuous: bool  # the equality hypothesis carries no information here
     delta_entries: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "head_agrees": self.head_agrees,
-            "tail_agrees": self.tail_agrees,
-            "holds": self.holds,
-            "vacuous": self.vacuous,
-            "delta_entries": list(self.delta_entries),
-        }
-
 
 def classify_equal_phi(rel: RelCharSeq, d: int, alpha: int, i: int) -> EqualPhiVerdict:
     """Where a group whose Hilbert value ties the minimal sequence must agree
@@ -110,19 +100,9 @@ class MaxSysVerdict:
     alpha: int
     s: int
     r: int
-    case_tag: str
+    case: str
     dimension: int
     certificate: dict
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "s": self.s,
-            "r": self.r,
-            "case": self.case_tag,
-            "dimension": self.dimension,
-            "certificate": self.certificate,
-        }
 
 
 def classify_maximal(X: PlaneCurve, Y: PointGroup, seed: int = 0) -> MaxSysVerdict:
@@ -135,9 +115,9 @@ def classify_maximal(X: PlaneCurve, Y: PointGroup, seed: int = 0) -> MaxSysVerdi
     """
     d = X.degree
     alpha = Y.size
-    s, r = _decompose(alpha, d) if alpha >= 1 else (0, 0)
     if alpha == 0:
         raise DomainError("cannot classify the empty group")
+    s, r = _decompose(alpha, d)
     dim = dim_linear_system(X, Y)
     if s >= d - 2:
         return MaxSysVerdict(alpha, s, r, CASE_LARGE, dim, {"flat_dimension": dim})

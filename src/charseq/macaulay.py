@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import DomainError
 
@@ -30,9 +30,6 @@ class MacaulayRep:
 
     def value(self) -> int:
         return sum(comb(k, j) for k, j in self.terms)
-
-    def to_json(self) -> dict:
-        return {"c": self.c, "d": self.d, "terms": [list(t) for t in self.terms]}
 
 
 def macaulay_rep(c: int, d: int) -> MacaulayRep:
@@ -63,12 +60,10 @@ def macaulay_next(c: int, d: int) -> int:
     return sum(comb(k + 1, j + 1) for k, j in rep.terms)
 
 
-class ZeroSeqCheck(NamedTuple):
+@dataclass(frozen=True)
+class ZeroSeqCheck:
     ok: bool
     violation: int | None  # index of the first offending element
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "violation": self.violation}
 
 
 def is_zero_sequence(
@@ -84,8 +79,8 @@ def is_zero_sequence(
     instead open with a_0 <= 1, which is forced for the widths of a cone.
     Pass ``cone_rule=False`` to test raw sequences with a free first entry.
 
-    Returns (ok, violation) where ``violation`` is the index of the first
-    entry that breaks the bound, or None.
+    The result's ``violation`` is the index of the first entry that breaks
+    the bound, or None.
     """
     entries = list(seq)
     if not entries:

@@ -354,14 +354,6 @@ class ScanTrial:
     dominated: bool
     disagreement_connex: bool
 
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "measured": list(self.measured),
-            "dominated": self.dominated,
-            "disagreement_connex": self.disagreement_connex,
-        }
-
 
 @dataclass(frozen=True)
 class ScanReport:
@@ -369,14 +361,6 @@ class ScanReport:
     section_degree: int
     trials: tuple[ScanTrial, ...]
     violations: int
-
-    def to_json(self) -> dict:
-        return {
-            "curve_degree": self.curve_degree,
-            "section_degree": self.section_degree,
-            "trials": [t.to_json() for t in self.trials],
-            "violations": self.violations,
-        }
 
 
 def conjecture_scan(X: PlaneCurve, s: int, trials: int, seed: int = 0) -> ScanReport:

@@ -8,7 +8,7 @@ through the width sequence l_i = #{j : m_j = i}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from math import comb
 from typing import Iterable, Sequence
@@ -51,13 +51,6 @@ class CharSeq:
     def widths(self) -> tuple[int, ...]:
         return widths_from_entries(self.entries)
 
-    def to_json(self) -> dict:
-        return {"entries": list(self.entries), "cone_dim": self.cone_dim, "codim": self.codim}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CharSeq":
-        return cls(tuple(data["entries"]), int(data["cone_dim"]), int(data["codim"]))
-
 
 @dataclass(frozen=True)
 class HilbertFn:
@@ -71,13 +64,6 @@ class HilbertFn:
         if any(v < 0 for v in self.values):
             raise DomainError("Hilbert function values must be non-negative")
 
-    def to_json(self) -> dict:
-        return {"values": list(self.values), "cone_dim": self.cone_dim}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HilbertFn":
-        return cls(tuple(data["values"]), int(data["cone_dim"]))
-
 
 def widths_from_entries(entries: Sequence[int]) -> tuple[int, ...]:
     """Width vector (l_0, ..., l_max): l_i counts entries equal to i."""
@@ -89,6 +75,13 @@ def widths_from_entries(entries: Sequence[int]) -> tuple[int, ...]:
     for e in entries:
         out[e] += 1
     return tuple(out)
+
+
+def default_codim(entries: Sequence[int]) -> int:
+    """The width in degree 1 when it is positive, else 1: the codimension
+    of a non-degenerate scheme with these entries."""
+    w = widths_from_entries(entries)
+    return w[1] if len(w) > 1 and w[1] > 0 else 1
 
 
 def entries_from_widths(widths: Sequence[int]) -> tuple[int, ...]:
@@ -112,14 +105,13 @@ def phi_from_charseq(seq: CharSeq, l: int) -> int:
     return sum(comb(m + l - mi, m) for mi in seq.entries if l >= mi)
 
 
-def hilbert_function(seq: CharSeq, length: int | None = None) -> HilbertFn:
+def hilbert_function(seq: CharSeq) -> HilbertFn:
     """Value prefix of the Hilbert function of ``seq``.
 
-    The default prefix runs two degrees past the last entry, which is the
-    shortest prefix :func:`charseq_from_phi` accepts back.
+    The prefix runs two degrees past the last entry, which is the shortest
+    prefix :func:`charseq_from_phi` accepts back.
     """
-    if length is None:
-        length = (max(seq.entries) if seq.entries else 0) + 2
+    length = (max(seq.entries) if seq.entries else 0) + 2
     values = tuple(phi_from_charseq(seq, l) for l in range(length + 1))
     return HilbertFn(values, seq.cone_dim)
 
@@ -163,8 +155,7 @@ def charseq_from_phi(fn: HilbertFn, codim: int | None = None) -> CharSeq:
             )
         entries = entries_from_widths(diffs[: last_nonzero + 1])
     if codim is None:
-        widths = widths_from_entries(entries)
-        codim = widths[1] if len(widths) > 1 and widths[1] > 0 else 1
+        codim = default_codim(entries)
     return CharSeq(entries, fn.cone_dim, codim)
 
 
@@ -188,13 +179,9 @@ class ValidationReport:
         return tuple(item.name for item in self.items if not item.passed)
 
     def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "degenerate": self.degenerate,
-            "checks": [
-                {"name": i.name, "passed": i.passed, "detail": i.detail} for i in self.items
-            ],
-        }
+        """The fields plus the derived ``passed``; ``items`` is keyed ``checks``."""
+        checks = [asdict(item) for item in self.items]
+        return {"passed": self.passed, "degenerate": self.degenerate, "checks": checks}
 
 
 def validate_abs(seq: CharSeq) -> ValidationReport:

@@ -405,22 +405,22 @@ def check_linear_systems() -> CheckResult:
     for r in (0, 1, 2):
         Y = point_group(X6.p, tuple(sorted(sec12))[r:], X6)
         verdict = classify_maximal(X6, Y, seed=r)
-        if verdict.case_tag != CASE_RESIDUAL:
-            problems.append(("case_i", r, verdict.case_tag))
+        if verdict.case != CASE_RESIDUAL:
+            problems.append(("case_i", r, verdict.case))
     # boundary r = s+1: drop three points lying on one line of the section
     line_of, pts_of = split_section(X6, 1, seed=fold_seed(79, 6))
     other, pts_other = split_section(X6, 1, seed=fold_seed(83, 6), avoid=frozenset(pts_of))
     section2 = pts_of + pts_other
     Y_boundary = point_group(X6.p, tuple(sorted(set(section2) - set(pts_of[:3]))), X6)
     verdict = classify_maximal(X6, Y_boundary, seed=0)
-    if verdict.case_tag != CASE_EITHER:
-        problems.append(("case_iii", verdict.case_tag))
+    if verdict.case != CASE_EITHER:
+        problems.append(("case_iii", verdict.case))
     # case ii: a full line section plus generic extras (r = 4 >= s+2 at alpha=8)
     extra = random_points_on_curve(X6, 2, fold_seed(89, 6), avoid=pts_of)
     Y_contains = point_group(X6.p, pts_of + extra.points, X6)
     verdict = classify_maximal(X6, Y_contains, seed=0)
-    if verdict.case_tag != CASE_CONTAINS or "contained_section" not in verdict.certificate:
-        problems.append(("case_ii", verdict.case_tag))
+    if verdict.case != CASE_CONTAINS or "contained_section" not in verdict.certificate:
+        problems.append(("case_ii", verdict.case))
 
     return CheckResult(
         "linear_system_bounds",

@@ -251,6 +251,142 @@ def test_geometry_calls_match_recorded_bytes(tmp_path, monkeypatch, capsys):
         assert (tmp_path / name).read_text() == text, name
 
 
+# (arguments, stdout) of calls whose output is a result type's encoding, in
+# both formats; run in a directory holding GOLDEN_INPUTS and s.txt.
+GOLDEN_ENCODINGS = (
+    ("macaulay --c 10 --d 3", '{"c": 10, "d": 3, "terms": [[5, 3]]}'),
+    (
+        "macaulay --c 10 --d 3 --format table",
+        "c      10\n"
+        "d      3\n"
+        "terms  [[5, 3]]"
+    ),
+    ("macaulay --zero-seq 1,2,4", '{"ok": false, "violation": 2}'),
+    (
+        "macaulay --zero-seq 1,2,4 --format table",
+        "ok         False\n"
+        "violation  2"
+    ),
+    ("macaulay --zero-seq 1,3,6,10", '{"ok": true, "violation": null}'),
+    (
+        "macaulay --zero-seq 1,3,6,10 --format table",
+        "ok         True\n"
+        "violation  None"
+    ),
+    (
+        "split --ambient 0,1,2,3 --rel 2,3,5,6 --cone-dim 2",
+        '{"gap": 2, "gap_index": 2, "high": {"ambient": {"codim": 1, "cone_dim": 2, '
+        '"entries": [0, 1]}, "entries": [5, 6]}, "low": {"ambient": {"codim": 1, '
+        '"cone_dim": 2, "entries": [0, 1]}, "entries": [0, 1]}, "note": "", '
+        '"section_degree": 2}'
+    ),
+    (
+        "split --ambient 0,1,2,3 --rel 2,3,5,6 --cone-dim 2 --format table",
+        "gap             2\n"
+        "gap_index       2\n"
+        'high            {"ambient": {"codim": 1, "cone_dim": 2, "entries": [0, 1]}, '
+        '"entries": [5, 6]}\n'
+        'low             {"ambient": {"codim": 1, "cone_dim": 2, "entries": [0, 1]}, '
+        '"entries": [0, 1]}\n'
+        "note            \n"
+        "section_degree  2"
+    ),
+    ("split --ambient 0,1,2,3 --rel 2,2,3,3", '{"gap": null}'),
+    ("split --ambient 0,1,2,3 --rel 2,2,3,3 --format table", "gap  None"),
+    (
+        "classify --rel 2,3,3,4 --d 4 --alpha 6 --i 2",
+        '{"case": "either", "delta_entries": [2, 3, 3, 4], "head_agrees": true, '
+        '"holds": true, "tail_agrees": true, "vacuous": false}'
+    ),
+    (
+        "classify --rel 2,3,3,4 --d 4 --alpha 6 --i 2 --format table",
+        "case           either\n"
+        "delta_entries  [2, 3, 3, 4]\n"
+        "head_agrees    True\n"
+        "holds          True\n"
+        "tail_agrees    True\n"
+        "vacuous        False"
+    ),
+    (
+        "classify --curve q.txt --points s.txt --format table",
+        "alpha        4\n"
+        "case         residual-of-r-points-in-degree-s-section\n"
+        'certificate  {"containing_curve": [[0, 0, 1, 1], [0, 1, 0, 894], [1, 0, 0, 3317]], '
+        '"containing_curve_degree": 1, "measured": [1, 2, 3, 4], "minimal": [1, 2, 3, 4]}\n'
+        "dimension    2\n"
+        "r            0\n"
+        "s            1"
+    ),
+    (
+        "conjecture-scan --curve c101.txt --s 1 --trials 3 --seed 2",
+        '{"curve_degree": 4, "section_degree": 1, "trials": [{"degree": 4, '
+        '"disagreement_connex": true, "dominated": true, "measured": [2, 2, 3, 3]}, '
+        '{"degree": 4, "disagreement_connex": true, "dominated": true, '
+        '"measured": [2, 2, 3, 3]}, {"degree": 4, "disagreement_connex": true, '
+        '"dominated": true, "measured": [2, 2, 3, 3]}], "violations": 0}'
+    ),
+    (
+        "conjecture-scan --curve c101.txt --s 1 --trials 3 --seed 2 --format table",
+        "curve_degree    4\n"
+        "section_degree  1\n"
+        'trials          [{"degree": 4, "disagreement_connex": true, "dominated": true, '
+        '"measured": [2, 2, 3, 3]}, {"degree": 4, "disagreement_connex": true, '
+        '"dominated": true, "measured": [2, 2, 3, 3]}, {"degree": 4, '
+        '"disagreement_connex": true, "dominated": true, "measured": [2, 2, 3, 3]}]\n'
+        "violations      0"
+    ),
+    (
+        "charseq --seq 0,1,1,2 --validate",
+        '{"checks": [{"detail": "m_0 = 0", "name": "starts_at_zero", "passed": true}, '
+        '{"detail": "l_0 = 1", "name": "width_l0_is_one", "passed": true}, '
+        '{"detail": "l_1 = 2, codim 2", "name": "width_l1_matches_codim", "passed": true}, '
+        '{"detail": "widths (1, 2, 1)", "name": "connex_support", "passed": true}, '
+        '{"detail": "", "name": "zero_sequence", "passed": true}], "degenerate": false, '
+        '"passed": true}'
+    ),
+    (
+        "charseq --seq 0,1,1,2 --validate --format table",
+        'checks      [{"detail": "m_0 = 0", "name": "starts_at_zero", "passed": true}, '
+        '{"detail": "l_0 = 1", "name": "width_l0_is_one", "passed": true}, '
+        '{"detail": "l_1 = 2, codim 2", "name": "width_l1_matches_codim", "passed": true}, '
+        '{"detail": "widths (1, 2, 1)", "name": "connex_support", "passed": true}, '
+        '{"detail": "", "name": "zero_sequence", "passed": true}]\n'
+        "degenerate  False\n"
+        "passed      True"
+    ),
+    (
+        "charseq --seq 0,2 --validate",
+        '{"checks": [{"detail": "m_0 = 0", "name": "starts_at_zero", "passed": true}, '
+        '{"detail": "l_0 = 1", "name": "width_l0_is_one", "passed": true}, '
+        '{"detail": "l_1 = 0, codim 1", "name": "width_l1_matches_codim", "passed": true}, '
+        '{"detail": "widths (1, 0, 1)", "name": "connex_support", "passed": false}, '
+        '{"detail": "growth bound broken at width index 2", "name": "zero_sequence", '
+        '"passed": false}], "degenerate": true, "passed": false}'
+    ),
+    (
+        "charseq --seq 0,2 --validate --format table",
+        'checks      [{"detail": "m_0 = 0", "name": "starts_at_zero", "passed": true}, '
+        '{"detail": "l_0 = 1", "name": "width_l0_is_one", "passed": true}, '
+        '{"detail": "l_1 = 0, codim 1", "name": "width_l1_matches_codim", "passed": true}, '
+        '{"detail": "widths (1, 0, 1)", "name": "connex_support", "passed": false}, '
+        '{"detail": "growth bound broken at width index 2", "name": "zero_sequence", '
+        '"passed": false}]\n'
+        "degenerate  True\n"
+        "passed      False"
+    ),
+)
+
+
+def test_result_encodings_match_recorded_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "s.txt").write_text(GOLDEN_OUTPUTS["s.txt"])
+    for args, expected in GOLDEN_ENCODINGS:
+        code, out, err = run_cli(capsys, *args.split())
+        assert code == 0, (args, err)
+        assert out == expected + "\n", args
+
 def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "macaulay", "--c", "0", "--d", "2")
     assert code == 1 and "error" in err

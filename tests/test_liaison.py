@@ -230,8 +230,3 @@ def test_violations_reporting():
     jumpy = RelCharSeq((2, 3, 5, 6), QUARTIC)
     assert "jump_above_one" in jumpy.violations(irreducible=True)
     assert jumpy.violations(irreducible=False) == ()
-
-
-def test_rel_json_round_trip():
-    rel = RelCharSeq((2, 2, 3, 3), QUARTIC)
-    assert RelCharSeq.from_json(rel.to_json()) == rel

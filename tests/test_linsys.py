@@ -79,7 +79,7 @@ def test_classify_maximal_cases(sextic_big):
     for r in (0, 1, 2):
         Y = point_group(P, tuple(sorted(sec))[r:], X)
         verdict = classify_maximal(X, Y, seed=r)
-        assert verdict.case_tag == CASE_RESIDUAL
+        assert verdict.case == CASE_RESIDUAL
         assert verdict.certificate["containing_curve_degree"] == 2
         assert verdict.s == 2 and verdict.r == r
 
@@ -88,7 +88,7 @@ def test_classify_maximal_cases(sextic_big):
     extra = random_points_on_curve(X, 2, seed=29, avoid=line_pts)
     Y = point_group(P, line_pts + extra.points, X)
     verdict = classify_maximal(X, Y, seed=0)
-    assert verdict.case_tag == CASE_CONTAINS
+    assert verdict.case == CASE_CONTAINS
     assert verdict.certificate["contained_section_degree"] == 1
 
 
@@ -96,7 +96,7 @@ def test_classify_maximal_large_regime(quartic_big):
     X = quartic_big
     Y = random_points_on_curve(X, 11, seed=31)  # alpha = 11: s = 3 >= d - 2
     verdict = classify_maximal(X, Y, seed=0)
-    assert verdict.case_tag == CASE_LARGE
+    assert verdict.case == CASE_LARGE
     assert verdict.dimension == dim_linear_system(X, Y)
 
 

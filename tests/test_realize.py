@@ -2,6 +2,7 @@
 
 import random
 import time
+from dataclasses import asdict
 from importlib import import_module
 
 import numpy as np
@@ -192,7 +193,7 @@ def test_conjecture_scan_clean(quartic_small):
     assert len(report.trials) == 25
     assert all(t.dominated and t.disagreement_connex for t in report.trials)
     assert all(len(t.measured) == 4 for t in report.trials)
-    payload = report.to_json()
+    payload = asdict(report)
     assert payload["violations"] == 0 and len(payload["trials"]) == 25
 
 

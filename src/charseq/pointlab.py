@@ -318,20 +318,24 @@ def _nested_spans(coords: np.ndarray, form: np.ndarray, p: int) -> Iterator[int]
     form and vanish at every earlier pivot column, and so do their
     multiples.  Reduced against level l's rows alone, the candidates
     therefore vanish at every pivot column so far, which makes the rank of
-    what is left the number of new dimensions; no earlier row is kept.
+    what is left the number of new dimensions; no earlier row is kept.  A
+    zero column never holds a pivot, so each level's pivot columns are
+    dropped: level l + 1 eliminates only the |Y| - phi(l) columns left.
     """
-    n = coords.shape[0]
     inverse = np.array([pow(int(w), -1, p) for w in modlin.matmul(coords, form, p)], dtype=np.int64)
     v = coords * inverse.reshape(-1, 1) % p
     value = 0
-    candidates = np.ones((1, n), dtype=np.int64)  # S_0 = span(1)
+    candidates = np.ones((1, len(v)), dtype=np.int64)  # S_0 = span(1)
     while True:
         reduced, pivots = modlin.rref(candidates, p)
         reduced = reduced[: len(pivots)]
         value += len(pivots)
         yield value
-        candidates = (v.T[:, None, :] * reduced[None, :, :] % p).reshape(-1, n)
-        candidates = modlin.reduce_rows(candidates, reduced, pivots, p)
+        free = np.ones(len(v), dtype=bool)
+        free[pivots] = False
+        candidates = (v.T[:, None, :] * reduced[None, :, :] % p).reshape(-1, len(v))
+        candidates = modlin.reduce_rows(candidates, reduced, pivots, p)[:, free]
+        v = v[free]
 
 
 def point_group(p: int, points: Iterable[ProjPoint], curve: PlaneCurve | None = None) -> PointGroup:
@@ -343,8 +347,7 @@ def _group(
 ) -> PointGroup:
     # ``checked`` already lie on ``curve``, and so do the points of a pool it
     # holds, which admits only points found on it exactly; the rest of
-    # ``new`` is evaluated.  A pool is never built here: at small p that
-    # would enumerate the plane.
+    # ``new`` is evaluated.
     raw = checked + new
     pts = tuple(sorted(set(raw), key=attrgetter("coords")))
     if len(pts) != len(raw):
@@ -352,12 +355,19 @@ def _group(
     if curve is not None:
         if curve.p != p:
             raise DomainError("curve modulus differs from the group modulus")
-        pool = curve.__dict__.get("pool")  # the cached_property, if built
-        found = pool.smooth if pool is not None else {}
+        found = _pool_flags(curve)
         bad = [q for q in new if q not in found and not curve.contains(q)]
         if bad:
             raise DomainError(f"{len(bad)} point(s) do not lie on the ambient curve")
     return PointGroup(p, pts, curve)
+
+
+def _pool_flags(curve: PlaneCurve) -> dict[ProjPoint, bool]:
+    """The smoothness ``curve``'s pool recorded per point, if the pool is
+    built, else nothing.  A pool is never built here: at small p that would
+    enumerate the plane."""
+    pool = curve.__dict__.get("pool")  # the cached_property, if built
+    return pool.smooth if pool is not None else {}
 
 
 # --- monomials and evaluation ---
@@ -767,12 +777,15 @@ def dim_linear_system(X: PlaneCurve, Y: PointGroup) -> int:
     deg(Y) - phi_Y(d - 3), read from ``Y.hilbert``: 0 in negative degrees
     and |Y| past its end.
 
-    Y must avoid the singular locus of X so its divisor class is defined.
+    Y must avoid the singular locus of X so its divisor class is defined:
+    a point of X's built pool has its recorded smoothness read, any other
+    point is checked.
     """
     if Y.curve != X:
         _check_on_curve(X, Y)
+    smooth = _pool_flags(X)
     for q in Y.points:
-        if is_singular_point(X, q):
+        if (not smooth[q]) if q in smooth else is_singular_point(X, q):
             raise GeometryError(f"singular-point collision at {q.coords}")
     l, values = X.degree - 3, Y.hilbert
     return Y.size - (0 if l < 0 else values[l] if l < len(values) else Y.size)

@@ -413,6 +413,14 @@ def test_exit_codes(capsys):
     assert exc.value.code == 2
     code, out, _ = run_cli(capsys, "charseq", "--seq", "0,1", "--eval", "2", "--cone-dim", "0")
     assert code == 0 and json.loads(out)["phi"] == 0
+    # --codim 0 is rejected wherever an ambient is built, not read as 1
+    for argv in (
+        ["rcs", "--rel", "2,2,3,3", "--ambient", "0,1,2,3", "--degree", "--codim", "0"],
+        ["rcs", "--abs-seq", "0,1", "--ambient", "0,1,2,3", "--codim", "0"],
+        ["charseq", "--seq", "0,1,2", "--validate", "--codim", "0"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and "codim must be >= 1" in err
     capsys.readouterr()
 
 

@@ -8,6 +8,7 @@ from charseq.errors import DomainError, NotConsistentError
 from charseq.liaison import (
     LiaisonError,
     RelCharSeq,
+    _composite_widths,
     abs_from_rel,
     add_section,
     genus_acm_curve,
@@ -19,7 +20,8 @@ from charseq.liaison import (
     rel_from_abs,
     split_on_gap,
 )
-from charseq.seqcalc import CharSeq, ci_charseq, plane_curve_charseq
+from charseq.macaulay import is_zero_sequence
+from charseq.seqcalc import CharSeq, ci_charseq, plane_curve_charseq, widths_from_entries
 
 QUARTIC = plane_curve_charseq(4)
 SEXTIC = plane_curve_charseq(6)
@@ -84,6 +86,68 @@ def test_rel_from_abs_rejects_impossible_pairs():
 @settings(max_examples=200)
 def test_abs_rel_mutually_inverse(rel):
     assert rel_from_abs(rel.ambient, abs_from_rel(rel)).entries == rel.entries
+
+
+def rel_from_abs_long_scan(ambient, abs_y):
+    """``rel_from_abs`` as it was: the cumulative counts scanned up to
+    max(m) + |abs_y| + 1 as well, then checked to end at the ambient degree."""
+    if abs_y.cone_dim != ambient.cone_dim - 1:
+        raise NotConsistentError("inconsistent pair: cone_dim")
+    m = ambient.entries
+    d = len(m)
+    widths_abs = widths_from_entries(abs_y.entries) if abs_y.entries else ()
+    top = max(
+        max(m) if m else 0,
+        len(widths_abs),
+        (max(m) if m else 0) + len(abs_y.entries) + 1,
+    )
+    counts = []
+    prev = 0
+    for i in range(top + 1):
+        ci = sum(1 for mj in m if mj <= i)
+        li = widths_abs[i] if i < len(widths_abs) else 0
+        di = ci - li
+        if di < prev or di < 0 or di > d:
+            raise NotConsistentError("inconsistent pair: counts not monotone")
+        counts.append(di)
+        prev = di
+    if counts[-1] != d:
+        raise NotConsistentError("inconsistent pair: counts never reach the ambient degree")
+    entries = []
+    prev = 0
+    for i, di in enumerate(counts):
+        entries.extend([i] * (di - prev))
+        prev = di
+    rel = RelCharSeq(tuple(entries), ambient)
+    if abs_from_rel(rel).entries != abs_y.entries:
+        raise NotConsistentError("inconsistent pair: reconstruction")
+    if not is_zero_sequence(_composite_widths(ambient, rel.entries), start_degree=0, cone_rule=True).ok:
+        raise NotConsistentError("inconsistent pair: growth bound")
+    return rel
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome compared
+        return type(exc)
+
+
+@st.composite
+def random_pairs(draw):
+    """An ambient and an absolute sequence drawn apart, one cone dimension
+    below it or (rarely) not."""
+    entries = st.lists(st.integers(0, 7), max_size=10).map(sorted)
+    cone_dim = draw(st.integers(1, 3))
+    ambient = CharSeq(tuple(draw(entries)), cone_dim, 1)
+    shift = draw(st.sampled_from((1, 1, 1, 0)))
+    return ambient, CharSeq(tuple(draw(entries)), cone_dim - shift, draw(st.integers(1, 3)))
+
+
+@given(st.one_of(random_pairs(), admissible_rels().map(lambda rel: (rel.ambient, abs_from_rel(rel)))))
+@settings(max_examples=400)
+def test_rel_from_abs_matches_the_long_scan(pair):
+    assert outcome(rel_from_abs, *pair) == outcome(rel_from_abs_long_scan, *pair)
 
 
 def test_link_examples():

@@ -6,6 +6,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -152,6 +153,65 @@ def test_hilbert_is_the_rank_scan_up_to_saturation(case):
     assert span_rank(Y) == (modlin.rank(Y.coords_array(), Y.p) if Y.size else 0)
 
 
+def nested_spans_full_width(coords, form, p):
+    """``pointlab._nested_spans`` before it dropped pivot columns: every
+    level eliminates all |Y| columns."""
+    n = coords.shape[0]
+    inverse = np.array([pow(int(w), -1, p) for w in modlin.matmul(coords, form, p)], dtype=np.int64)
+    v = coords * inverse.reshape(-1, 1) % p
+    value = 0
+    candidates = np.ones((1, n), dtype=np.int64)
+    while True:
+        reduced, pivots = modlin.rref(candidates, p)
+        reduced = reduced[: len(pivots)]
+        value += len(pivots)
+        yield value
+        candidates = (v.T[:, None, :] * reduced[None, :, :] % p).reshape(-1, n)
+        candidates = modlin.reduce_rows(candidates, reduced, pivots, p)
+
+
+def spans_up_to(spans, size):
+    """The values of a nested-span scan up to |Y|, or its first |Y| + 1
+    values if it never gets there."""
+    values = []
+    for value in spans:
+        values.append(value)
+        if value == size or len(values) > size:
+            return values
+
+
+def full_width_hilbert(Y):
+    coords = Y.coords_array()
+    form = pointlab._free_line(coords, Y.p)
+    assert form is not None
+    return tuple(spans_up_to(nested_spans_full_width(coords, form, Y.p), Y.size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups(max_degree=8, max_size=40))
+def test_narrowed_elimination_matches_the_full_width_one(case):
+    _, Y = case
+    coords = Y.coords_array()
+    form = pointlab._free_line(coords, Y.p)
+    assume(form is not None)
+    narrowed = spans_up_to(pointlab._nested_spans(coords, form, Y.p), Y.size)
+    assert narrowed == spans_up_to(nested_spans_full_width(coords, form, Y.p), Y.size)
+
+
+@pytest.mark.parametrize(
+    "d, size", [(4, 40), (4, 70), (4, 120), (6, 60), (6, 140), (6, 160), (8, 60), (8, 130), (8, 180)]
+)
+def test_measure_grid_shapes_match_the_full_width_elimination(d, size):
+    # the shapes the benchmark's measure workload times, at p = 10007
+    X = curve(10007, d, 0)
+    Y = random_points_on_curve(X, size, seed=size)
+    values = full_width_hilbert(Y)
+    assert values[-1] == size
+    assert Y.hilbert == values
+    l = d - 3
+    assert dim_linear_system(X, Y) == size - (values[l] if l < len(values) else size)
+
+
 def bigint_phi(Y, l):
     """phi_Y(l) as the rank of the degree-l evaluation matrix, computed by
     Gaussian elimination on Python integers: no int64 anywhere."""
@@ -274,10 +334,12 @@ def test_measure_rcs_then_measure_abs_run_one_elimination(case):
         measure_abs(Y, codim=2)
         measure_abs(Y)  # the default codim reads phi_Y(1)
     assert ranks == []
-    # level 0 eliminates the constant 1; level l + 1 the multiples of each
-    # vector new at level l by the three coordinates
-    new = [b - a for a, b in zip((0,) + Y.hilbert, Y.hilbert)]
-    assert rrefs == [(rows, Y.size) for rows in [1] + [3 * k for k in new[:-1]]]
+    # level 0 eliminates the constant 1 in all |Y| columns; level l + 1 the
+    # multiples of each vector new at level l by the three coordinates, in
+    # the |Y| - phi(l) columns that hold no pivot yet
+    values = Y.hilbert
+    new = [b - a for a, b in zip((0,) + values, values)]
+    assert rrefs == [(1, Y.size)] + [(3 * k, Y.size - v) for k, v in zip(new[:-1], values[:-1])]
 
 
 def test_a_scan_short_of_the_group_degree_raises(monkeypatch):

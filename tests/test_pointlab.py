@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charseq import constructions, modlin
+from charseq import constructions, modlin, pointlab
 from charseq.constructions import (
     aligned_points_on_curve,
     curves_through,
@@ -247,13 +247,71 @@ def test_dim_linear_system_examples(quartic_big):
     assert dim_linear_system(X, point_group(P, (), X)) == 0
 
 
-def test_dim_linear_system_rejects_singular_points():
-    # nodal cubic: the node is a genuine singular rational point
-    f = plane_curve(P, {(0, 2, 1): 1, (2, 0, 1): -1, (3, 0, 0): -1})
+def counted_gradients(monkeypatch):
+    """The points ``gradient_at`` is called on from here on."""
+    calls = []
+    gradient = pointlab.gradient_at
+    monkeypatch.setattr(pointlab, "gradient_at", lambda curve, q: calls.append(q) or gradient(curve, q))
+    return calls
+
+
+def nodal_cubic(p):
+    # the node (0:0:1) is a genuine singular rational point
+    return plane_curve(p, {(0, 2, 1): 1, (2, 0, 1): -1, (3, 0, 0): -1})
+
+
+def test_dim_linear_system_rejects_singular_points(monkeypatch):
     node = proj_point(0, 0, 1, P)
+    # a curve with no pool: the node is checked, and no pool is built
+    f = nodal_cubic(P)
     assert f.contains(node) and is_singular_point(f, node)
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="singular-point collision"):
         dim_linear_system(f, point_group(P, [node], f))
+    assert "pool" not in vars(f)
+    # a built pool that does not hold the node: it is checked all the same
+    f = nodal_cubic(P)
+    random_points_on_curve(f, 5, seed=1)
+    assert node not in f.pool.smooth
+    with pytest.raises(GeometryError, match="singular-point collision"):
+        dim_linear_system(f, point_group(P, [node], f))
+    # a pool that holds the node recorded it singular: the flag is read
+    g = nodal_cubic(101)
+    node = proj_point(0, 0, 1, 101)
+    assert g.pool.smooth[node] is False
+    calls = counted_gradients(monkeypatch)
+    with pytest.raises(GeometryError, match="singular-point collision"):
+        dim_linear_system(g, point_group(101, [node], g))
+    assert calls == []
+
+
+def test_dim_linear_system_reads_the_pools_smoothness(quartic_big, monkeypatch):
+    X = quartic_big
+    Y = random_points_on_curve(X, 8, seed=4)
+    rng = random.Random(7)
+    outside = []
+    while not outside:
+        a, b = random_proj_point(rng, P), random_proj_point(rng, P)
+        if a != b:
+            outside = [q for q in line_points_on_curve(X, a, b) if q not in X.pool.smooth][:1]
+    calls = counted_gradients(monkeypatch)
+    # X's pool decided each of its points once, as the point joined, for
+    # any group that holds them; a point it does not hold is checked
+    assert dim_linear_system(X, Y) == 8 - phi_points(Y, 1)
+    dim_linear_system(X, point_group(P, Y.points))
+    assert calls == []
+    dim_linear_system(X, Y.union(outside))
+    assert calls == outside
+
+
+def test_dim_linear_system_builds_no_pool(monkeypatch):
+    # at p <= 101 a pool is the whole plane scanned; a curve that holds none
+    # has each point checked instead, and still holds none afterwards
+    X = plane_curve(101, fermat_curve(101, 4).terms)
+    Y = point_group(101, rational_points(X)[:6], X)
+    calls = counted_gradients(monkeypatch)
+    assert dim_linear_system(X, Y) == 6 - phi_points(Y, 1)
+    assert "pool" not in vars(X)
+    assert calls == list(Y.points)
 
 
 def test_minimal_hypersurface_degree_matches_kernel(quartic_big):

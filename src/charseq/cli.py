@@ -507,11 +507,7 @@ def main(argv=None) -> int:
         payload = args.handler(args)
     except UsageError as err:
         parser.error(str(err))  # exits with code 2
-        return 2
-    except CharseqError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (CharseqError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     if args.command == "verify" and args.format == "table":

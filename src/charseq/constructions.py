@@ -70,9 +70,6 @@ def curve_from_vector(p: int, d: int, vec) -> PlaneCurve:
 
 def curves_through(p: int, d: int, points: tuple[ProjPoint, ...]) -> np.ndarray:
     """Kernel basis (rows = coefficient vectors) of degree-d forms through the points."""
-    if not points:
-        n = len(monomial_basis(d))
-        return np.eye(n, dtype=np.int64)
     mat = evaluation_matrix(points, d, p)
     return modlin.kernel_basis(mat, p)
 
@@ -250,7 +247,7 @@ def _conic_block(X: PlaneCurve, k: int, seed: int) -> tuple[ProjPoint, ...]:
     for attempt in range(40):
         try:
             conic = random_curve_through(X.p, 2, anchor, rng.randrange(2**30))
-            common = intersect_curves(X, conic, seed=attempt)
+            common = intersect_curves(X, conic)
         except GeometryError:
             anchor = random_points_on_curve(X, 5, rng.randrange(2**30)).points
             continue
@@ -337,7 +334,7 @@ def _try_sextic(p: int, rng: random.Random) -> SexticConfig | None:
 
     # conic section must be exactly the twelve chosen points, all smooth
     try:
-        section = intersect_curves(sextic, conic, seed=rng.randrange(2**30))
+        section = intersect_curves(sextic, conic)
     except GeometryError:
         return None
     if sorted(section) != sorted(conic_pts):

@@ -11,17 +11,15 @@ bound they imply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
-from .errors import CharseqError, DomainError, NotConsistentError
+from .errors import DomainError, NotConsistentError
 from .macaulay import is_zero_sequence
 from .seqcalc import (
     CharSeq,
     is_gorenstein_symmetric,
     phi_from_charseq,
     plane_curve_charseq,
-    widths_from_entries,
 )
 
 
@@ -113,7 +111,9 @@ def rel_from_abs(ambient: CharSeq, abs_y: CharSeq) -> RelCharSeq:
 
     The cumulative counts d_i = c_i - l'_i determine the entries; the pair is
     rejected (NotConsistentError) when no valid relative sequence reproduces
-    ``abs_y`` over ``ambient``.
+    ``abs_y`` over ``ambient``.  As l'_i >= 0 each n_j >= m_j, so the
+    intervals [m_j, n_j) give ``abs_y`` back unless some m_j < 0, and the
+    composite widths are those of ``abs_y``.
     """
     if abs_y.cone_dim != ambient.cone_dim - 1:
         raise NotConsistentError(
@@ -121,7 +121,7 @@ def rel_from_abs(ambient: CharSeq, abs_y: CharSeq) -> RelCharSeq:
         )
     m = ambient.entries
     d = len(m)
-    widths_abs = widths_from_entries(abs_y.entries) if abs_y.entries else ()
+    widths_abs = abs_y.widths
     top = max(max(m, default=0), len(widths_abs))  # every count is d from here on
     counts = []
     prev = 0
@@ -135,19 +135,12 @@ def rel_from_abs(ambient: CharSeq, abs_y: CharSeq) -> RelCharSeq:
             )
         counts.append(di)
         prev = di
-    entries: list[int] = []
-    prev = 0
-    for i, di in enumerate(counts):
-        entries.extend([i] * (di - prev))
-        prev = di
-    rel = RelCharSeq(tuple(entries), ambient)
-    back = abs_from_rel(rel)
-    if back.entries != abs_y.entries:
+    if m and m[0] < 0:
         raise NotConsistentError("inconsistent pair: reconstruction does not reproduce the input")
-    composite = _composite_widths(ambient, rel.entries)
-    if not is_zero_sequence(composite, start_degree=0, cone_rule=True).ok:
+    if not is_zero_sequence(widths_abs or (0,), start_degree=0, cone_rule=True).ok:
         raise NotConsistentError("inconsistent pair: composite widths break the growth bound")
-    return rel
+    # n_j is the first degree whose count exceeds j; the last count is d
+    return RelCharSeq(tuple(sum(di <= j for di in counts) for j in range(d)), ambient)
 
 
 def link(rel: RelCharSeq, s: int) -> RelCharSeq:
@@ -299,14 +292,8 @@ def halphen_bound(alpha: int, d: int) -> int:
 
         G = 1 + s*d*(s + d - 4)/2 - r*(2*s + 2*d - r - 5)/2,
 
-    evaluated in exact rationals and checked to be an integer.
+    an integer: s*d*(s + d - 4) is even (s + d - 4 is, when s and d are
+    both odd), and so is r*(2*s + 2*d - r - 5) (r + 5 is, when r is odd).
     """
     s, r = _decompose(alpha, d)
-    value = (
-        1
-        + Fraction(s * d * (s + d - 4), 2)
-        - Fraction(r * (2 * s + 2 * d - r - 5), 2)
-    )
-    if value.denominator != 1:
-        raise CharseqError(f"non-integral bound {value} for alpha={alpha}, d={d}")
-    return int(value)
+    return 1 + (s * d * (s + d - 4) - r * (2 * s + 2 * d - r - 5)) // 2

@@ -168,8 +168,6 @@ def classify_maximal(X: PlaneCurve, Y: PointGroup, seed: int = 0) -> MaxSysVerdi
 
 def _curve_through_group(X: PlaneCurve, Y: PointGroup, degree: int) -> PlaneCurve | None:
     """A degree-``degree`` curve through every point of Y, proper against X."""
-    if degree < 1:
-        return None
     kernel = curves_through(Y.p, degree, Y.points)
     if kernel.shape[0] == 0:
         return None

@@ -84,8 +84,6 @@ def reduce_rows(rows, reduced, pivots: list[int], p: int) -> np.ndarray:
 
 
 def rank(matrix, p: int) -> int:
-    if np.asarray(matrix).size == 0:
-        return 0
     _, pivots = rref(matrix, p)
     return len(pivots)
 
@@ -161,19 +159,22 @@ def poly_roots(coeffs, p: int) -> list[int]:
             frob = _pow_linear(0, p, g, p) + [0]  # t^p mod g, padded to the degree of t
             frob[1] -= 1
             g = poly_gcd(g, frob, p)
-        _split_roots(g, p, random.Random(hash(tuple(g))), roots)
+        _split_roots(g, p, roots)
     return sorted(roots)
 
 
-def _split_roots(g: list[int], p: int, rng: random.Random, out: list[int]) -> None:
+def _split_roots(g: list[int], p: int, out: list[int], rng: random.Random | None = None) -> None:
     # g is monic and a product of distinct linear factors t - r with r != 0
-    # (over F_2 that leaves at most t - 1, so the odd-p split never runs)
+    # (over F_2 that leaves at most t - 1, so the odd-p split never runs);
+    # the rng is seeded by the first g that splits and handed to its parts
     while len(g) > 2:
+        if rng is None:
+            rng = random.Random(hash(tuple(g)))
         h = _pow_linear(rng.randrange(p), (p - 1) // 2, g, p)
         h[0] -= 1
         part = poly_gcd(g, h, p)
         if 1 < len(part) < len(g):
-            _split_roots(part, p, rng, out)
+            _split_roots(part, p, out, rng)
             g = _poly_divmod(g, part, p)[0]
     if len(g) == 2:
         out.append((-g[0]) % p)

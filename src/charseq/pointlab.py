@@ -408,8 +408,6 @@ def evaluation_matrix(points: Sequence[ProjPoint], l: int, p: int) -> np.ndarray
 
 def evaluate_terms(terms, coords: np.ndarray, p: int) -> np.ndarray:
     """Evaluate a term list (e1,e2,e3,c) at many points at once."""
-    if coords.size == 0:
-        return np.zeros(0, dtype=np.int64)
     max_e = max(max(e1, e2, e3) for e1, e2, e3, _ in terms)
     table = _power_table(coords, max_e, p)
     acc = np.zeros(coords.shape[0], dtype=np.int64)
@@ -652,7 +650,7 @@ def _random_invertible(rng: random.Random, p: int) -> list[list[int]]:
             return mat
 
 
-def intersect_curves(f: PlaneCurve, h: PlaneCurve, seed: int = 0) -> tuple[ProjPoint, ...]:
+def intersect_curves(f: PlaneCurve, h: PlaneCurve) -> tuple[ProjPoint, ...]:
     """All rational common zeros of two curves with no shared component.
 
     Exact for any prime field with p > deg(f)*deg(h).  The plane is swept by
@@ -664,7 +662,8 @@ def intersect_curves(f: PlaneCurve, h: PlaneCurve, seed: int = 0) -> tuple[ProjP
     component (GeometryError).  The common zeros on a line are the roots of
     the gcd of its restrictions.  b, c1 and c0 are the columns of the
     identity when (1:0:0) is off both curves, else of the first of 64
-    random invertible matrices that puts b off both.
+    invertible matrices from a fixed generator that puts b off both.  The
+    result does not depend on the frame: every line through b is swept.
     """
     if f.p != h.p:
         raise DomainError("curves live over different fields")
@@ -672,7 +671,7 @@ def intersect_curves(f: PlaneCurve, h: PlaneCurve, seed: int = 0) -> tuple[ProjP
     d, s = f.degree, h.degree
     if d * s >= p:
         raise DomainError(f"field too small for an exact intersection of degrees {d} and {s}")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     for matrix in chain([identity], (_random_invertible(rng, p) for _ in range(64))):
         b, c1, c0 = zip(*matrix)  # the columns M*e1, M*e2, M*e3
@@ -755,21 +754,19 @@ def measure_rcs(X: PlaneCurve, Y: PointGroup) -> RelCharSeq:
     which rejects a pair no relative sequence accounts for."""
     if Y.curve != X:  # a group built on X had each point checked then
         _check_on_curve(X, Y)
-    return rel_from_abs(plane_curve_charseq(X.degree), measure_abs(Y, codim=2))
+    return rel_from_abs(plane_curve_charseq(X.degree), measure_abs(Y))
 
 
-def measure_abs(Y: PointGroup, codim: int | None = None) -> CharSeq:
+def measure_abs(Y: PointGroup) -> CharSeq:
     """Measure the absolute characteristic sequence of a reduced point group.
 
-    Widths are the first differences of the Hilbert function.  ``codim``
-    defaults to the codimension of the group inside its linear span, so
-    aligned groups come out with codim 1 and validate cleanly.
+    Widths are the first differences of the Hilbert function, and codim is
+    the codimension of the group inside its linear span, so aligned groups
+    come out with codim 1 and validate cleanly.
     """
     values = Y.hilbert
     widths = [b - a for a, b in zip((0,) + values, values)]
-    if codim is None:
-        codim = max(span_rank(Y) - 1, 1)
-    return CharSeq(entries_from_widths(widths), 1, codim)
+    return CharSeq(entries_from_widths(widths), 1, max(span_rank(Y) - 1, 1))
 
 
 def dim_linear_system(X: PlaneCurve, Y: PointGroup) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Iterator
 
 from . import modlin
@@ -63,6 +64,7 @@ SMALL_MODULUS = 101
 ROUND_TRIP_MAX_DEGREE, ROUND_TRIP_MAX_CONE_DIM = 12, 4
 LIAISON_PARTITIONS = 20
 SHIFT_PAIRS = 50
+WIDTH_GROUPS = 200
 HALPHEN_SAMPLES = 200
 REALIZATION_MAX_DEGREE = 10
 SCAN_TRIALS = 500
@@ -79,15 +81,10 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "detail": self.detail, **self.counts}
 
 
-_CURVES: dict[tuple[int, int], PlaneCurve] = {}
-
-
+@cache
 def corpus_curve(p: int, d: int) -> PlaneCurve:
     """Fixed smooth curve fixture for the corpus, one per (modulus, degree)."""
-    key = (p, d)
-    if key not in _CURVES:
-        _CURVES[key] = random_smooth_curve(p, d, seed=fold_seed(p, d, 12))
-    return _CURVES[key]
+    return random_smooth_curve(p, d, seed=fold_seed(p, d, 12))
 
 
 def enumerate_width_vectors(max_degree: int) -> Iterator[tuple[int, ...]]:
@@ -169,10 +166,10 @@ def _plane_group(p: int, size: int, style: str, seed: int) -> PointGroup:
     return point_group(p, tuple(sorted(pts))[:size])
 
 
-def check_width_theorem(groups: int = 200) -> CheckResult:
+def check_width_theorem() -> CheckResult:
     violations = []
     styles = ("generic", "aligned", "conic")
-    for k in range(groups):
+    for k in range(WIDTH_GROUPS):
         size = 1 + (k * 7) % 25
         style = styles[k % 3]
         group = _plane_group(VERIFY_MODULUS, size, style, fold_seed(2024, k))
@@ -193,10 +190,10 @@ def check_width_theorem(groups: int = 200) -> CheckResult:
     return CheckResult(
         "width_theorem_on_measured_groups",
         not violations,
-        f"{groups} measured plane groups satisfy the width constraints"
+        f"{WIDTH_GROUPS} measured plane groups satisfy the width constraints"
         if not violations
         else f"{len(violations)} violations, first: {violations[0]}",
-        {"groups": groups, "violations": len(violations)},
+        {"groups": WIDTH_GROUPS, "violations": len(violations)},
     )
 
 
@@ -228,7 +225,7 @@ def check_complete_intersections() -> CheckResult:
                 c1 = _lines_in_general_position(VERIFY_MODULUS, d1, fold_seed(31, d1, d2, attempt))
                 c2 = _lines_in_general_position(VERIFY_MODULUS, d2, fold_seed(37, d1, d2, attempt))
                 try:
-                    pts = intersect_curves(c1, c2, seed=attempt)
+                    pts = intersect_curves(c1, c2)
                 except GeometryError:
                     continue
                 if len(pts) != d1 * d2:

@@ -387,9 +387,12 @@ def test_result_encodings_match_recorded_bytes(tmp_path, monkeypatch, capsys):
         assert code == 0, (args, err)
         assert out == expected + "\n", args
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "macaulay", "--c", "0", "--d", "2")
     assert code == 1 and "error" in err
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "rcs", "--curve", "missing.txt", "--random", "3")
+    assert code == 1 and err.startswith("error:")  # an OSError
     code, _, err = run_cli(capsys, "link", "--ambient", "0,1,2,3", "--rel", "2,2,3,3", "--s", "1")
     assert code == 1
     with pytest.raises(SystemExit) as exc:

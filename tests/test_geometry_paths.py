@@ -9,14 +9,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from charseq import modlin
 from charseq.constructions import (
     _lines_cross_on_curve,
+    curves_through,
     line_through,
     multiply_curves,
     random_curve_through,
     split_line,
 )
 from charseq.errors import DomainError, GeometryError
+from charseq.linsys import _curve_through_group
 from charseq.pointlab import (
     MAX_MODULUS,
     ProjPoint,
@@ -34,6 +37,7 @@ from charseq.pointlab import (
     plane_curve,
     point_pool,
     proj_point,
+    random_points_on_curve,
     random_proj_point,
     rational_points,
     section_points,
@@ -464,3 +468,38 @@ def test_split_lines_pass_the_tangency_test(p, kind, d, seed):
     assert len(pts) == X.degree and len(set(pts)) == len(pts)
     assert all(line.contains(q) and X.contains(q) for q in pts)
     assert meets_transversally(X, line, pts)
+
+
+def _eye(d):
+    return np.eye((d + 1) * (d + 2) // 2, dtype=np.int64)
+
+
+EMPTY_INPUTS = [
+    pytest.param(lambda X: modlin.rank(np.zeros((0, 6), dtype=np.int64), P), 0, id="rank-no-rows"),
+    pytest.param(lambda X: modlin.rank(np.zeros((6, 0), dtype=np.int64), P), 0, id="rank-no-columns"),
+    pytest.param(lambda X: modlin.rank([], P), 0, id="rank-empty-list"),
+    *(
+        pytest.param(lambda X, d=d: curves_through(P, d, ()), _eye(d), id=f"degree-{d}-forms-through-no-point")
+        for d in (0, 1, 3)
+    ),
+    pytest.param(
+        lambda X: evaluate_terms(X.terms, np.zeros((0, 3), dtype=np.int64), P),
+        np.zeros(0, dtype=np.int64),
+        id="curve-at-no-point",
+    ),
+    pytest.param(
+        lambda X: _curve_through_group(X, random_points_on_curve(X, 3, 0), 0), None, id="degree-0-curve-through-points"
+    ),
+]
+
+
+@pytest.mark.parametrize("compute, expected", EMPTY_INPUTS)
+def test_empty_inputs_give_what_their_shortcuts_gave(compute, expected):
+    # rank, curves_through, evaluate_terms and _curve_through_group once
+    # returned these values early; the general path must reach them alone
+    got = compute(corpus_curve(P, 4))
+    assert type(got) is type(expected)
+    if isinstance(expected, np.ndarray):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    else:
+        assert got == expected

@@ -1,5 +1,7 @@
 """Liaison calculus: conversions, the reflection, splitting, minimal sequences."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,8 +138,8 @@ def outcome(fn, *args):
 @st.composite
 def random_pairs(draw):
     """An ambient and an absolute sequence drawn apart, one cone dimension
-    below it or (rarely) not."""
-    entries = st.lists(st.integers(0, 7), max_size=10).map(sorted)
+    below it or (rarely) not; negative entries reach both."""
+    entries = st.lists(st.integers(-3, 7), max_size=10).map(sorted)
     cone_dim = draw(st.integers(1, 3))
     ambient = CharSeq(tuple(draw(entries)), cone_dim, 1)
     shift = draw(st.sampled_from((1, 1, 1, 0)))
@@ -148,6 +150,12 @@ def random_pairs(draw):
 @settings(max_examples=400)
 def test_rel_from_abs_matches_the_long_scan(pair):
     assert outcome(rel_from_abs, *pair) == outcome(rel_from_abs_long_scan, *pair)
+
+
+def test_a_negative_ambient_entry_is_not_reproduced():
+    # [m_0, n_0) = [-1, 0) puts -1 into the reconstruction
+    with pytest.raises(NotConsistentError, match="reconstruction does not reproduce the input"):
+        rel_from_abs(CharSeq((-1, 0), 2, 1), CharSeq((0, 1), 1, 1))
 
 
 def test_link_examples():
@@ -273,6 +281,26 @@ def test_genus_examples():
 )
 def test_halphen_bound_values(alpha, d, expected):
     assert halphen_bound(alpha, d) == expected
+
+
+def halphen_in_rationals(alpha, d):
+    """The bound as it was computed: in exact rationals, checked integral."""
+    s = -(-alpha // d)
+    r = s * d - alpha
+    value = 1 + Fraction(s * d * (s + d - 4), 2) - Fraction(r * (2 * s + 2 * d - r - 5), 2)
+    assert value.denominator == 1
+    return int(value)
+
+
+def test_halphen_bound_matches_the_rationals_on_a_grid():
+    for d in range(1, 30):
+        for alpha in range(1, 4 * d + 1):
+            assert halphen_bound(alpha, d) == halphen_in_rationals(alpha, d)
+
+
+@given(st.integers(1, 10**6), st.integers(1, 10**6))
+def test_halphen_bound_matches_the_rationals(alpha, d):
+    assert halphen_bound(alpha, d) == halphen_in_rationals(alpha, d)
 
 
 def test_halphen_plane_case_is_plane_genus():

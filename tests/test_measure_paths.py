@@ -331,8 +331,7 @@ def test_measure_rcs_then_measure_abs_run_one_elimination(case):
     X, Y = case
     with counted("rank") as ranks, counted("rref") as rrefs:
         measure_rcs(X, Y)
-        measure_abs(Y, codim=2)
-        measure_abs(Y)  # the default codim reads phi_Y(1)
+        measure_abs(Y)  # codim reads phi_Y(1)
     assert ranks == []
     # level 0 eliminates the constant 1 in all |Y| columns; level l + 1 the
     # multiples of each vector new at level l by the three coordinates, in
@@ -387,6 +386,7 @@ def test_width_check_catches_a_wrong_linear_span(monkeypatch):
         return values[:1] + (values[1] - 1,) + values[2:] if len(values) > 2 else values
 
     monkeypatch.setattr(PointGroup, "hilbert", property(corrupted))
-    result = verify.check_width_theorem(groups=6)
+    monkeypatch.setattr(verify, "WIDTH_GROUPS", 6)
+    result = verify.check_width_theorem()
     assert not result.passed and result.counts["violations"] > 0
     assert "l1_vs_span_codim" in result.detail

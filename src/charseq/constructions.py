@@ -294,17 +294,15 @@ def sextic_with_marked_sections(p: int, seed: int) -> SexticConfig:
 
 
 def _try_sextic(p: int, rng: random.Random) -> SexticConfig | None:
-    # random conic through 5 random plane points; its rational points are
-    # harvested with random lines
+    # None and a GeometryError end the attempt alike.  A random conic
+    # through 5 random plane points; its rational points are harvested with
+    # random lines
     base_pts = []
     while len(base_pts) < 5:
         q = random_proj_point(rng, p)
         if q not in base_pts:
             base_pts.append(q)
-    try:
-        conic = random_curve_through(p, 2, tuple(base_pts), rng.randrange(2**30))
-    except GeometryError:
-        return None
+    conic = random_curve_through(p, 2, tuple(base_pts), rng.randrange(2**30))
     conic_pool = point_pool(conic, 40)
     if len(conic_pool) < 14:
         return None
@@ -320,10 +318,7 @@ def _try_sextic(p: int, rng: random.Random) -> SexticConfig | None:
         return None
 
     through = tuple(conic_pts) + tuple(line_pts)
-    try:
-        sextic = random_curve_through(p, 6, through, rng.randrange(2**30))
-    except GeometryError:
-        return None
+    sextic = random_curve_through(p, 6, through, rng.randrange(2**30))
 
     # the conic and line must not divide the sextic
     if all(sextic.contains(q) for q in conic_pool[:14]):
@@ -333,10 +328,7 @@ def _try_sextic(p: int, rng: random.Random) -> SexticConfig | None:
         return None
 
     # conic section must be exactly the twelve chosen points, all smooth
-    try:
-        section = intersect_curves(sextic, conic)
-    except GeometryError:
-        return None
+    section = intersect_curves(sextic, conic)
     if sorted(section) != sorted(conic_pts):
         return None
     special = set(full_line_pts) | set(conic_pts)

@@ -10,13 +10,15 @@ bound they imply.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import comb
+from typing import Sequence
 
 from .errors import DomainError, NotConsistentError
 from .macaulay import is_zero_sequence
 from .seqcalc import (
     CharSeq,
+    _phi_sum,
     is_gorenstein_symmetric,
     phi_from_charseq,
     plane_curve_charseq,
@@ -55,7 +57,9 @@ class RelCharSeq:
         return len(self.entries)
 
     def violations(self, irreducible: bool = False) -> tuple[str, ...]:
-        """Names of the invariants this sequence breaks (empty when valid)."""
+        """Names of the invariants this sequence breaks (empty when valid);
+        the composite widths #{m_j <= i} - #{n_j <= i} are tested against
+        the growth bound only when no other invariant fails."""
         out: list[str] = []
         m = self.ambient.entries
         n = self.entries
@@ -64,25 +68,16 @@ class RelCharSeq:
         if irreducible and any(b > a + 1 for a, b in zip(n, n[1:])):
             out.append("jump_above_one")
         if not out:
-            composite = _composite_widths(self.ambient, n)
+            top = max(m + n, default=0)
+            composite = [c - d for c, d in zip(_counts(m, top), _counts(n, top))]
             if not is_zero_sequence(composite, start_degree=0, cone_rule=True).ok:
                 out.append("composite_widths_not_zero_sequence")
         return tuple(out)
 
 
-def _composite_widths(ambient: CharSeq, n: tuple[int, ...]) -> tuple[int, ...]:
-    # Widths of the absolute sequence of Y: c_i - d_i with c_i = #{m_j <= i},
-    # d_i = #{n_j <= i}.
-    m = ambient.entries
-    if not m:
-        return (0,)
-    top = max(max(m), max(n) if n else 0)
-    out = []
-    for i in range(top + 1):
-        ci = sum(1 for mj in m if mj <= i)
-        di = sum(1 for nj in n if nj <= i)
-        out.append(ci - di)
-    return tuple(out)
+def _counts(entries: Sequence[int], top: int) -> list[int]:
+    # #{e in entries : e <= i} for i = 0, ..., top, of sorted entries.
+    return [bisect_right(entries, i) for i in range(top + 1)]
 
 
 def rel_degree(rel: RelCharSeq) -> int:
@@ -125,8 +120,7 @@ def rel_from_abs(ambient: CharSeq, abs_y: CharSeq) -> RelCharSeq:
     top = max(max(m, default=0), len(widths_abs))  # every count is d from here on
     counts = []
     prev = 0
-    for i in range(top + 1):
-        ci = sum(1 for mj in m if mj <= i)
+    for i, ci in enumerate(_counts(m, top)):
         li = widths_abs[i] if i < len(widths_abs) else 0
         di = ci - li
         if di < prev or di < 0 or di > d:
@@ -140,7 +134,7 @@ def rel_from_abs(ambient: CharSeq, abs_y: CharSeq) -> RelCharSeq:
     if not is_zero_sequence(widths_abs or (0,), start_degree=0, cone_rule=True).ok:
         raise NotConsistentError("inconsistent pair: composite widths break the growth bound")
     # n_j is the first degree whose count exceeds j; the last count is d
-    return RelCharSeq(tuple(sum(di <= j for di in counts) for j in range(d)), ambient)
+    return RelCharSeq(tuple(_counts(counts, d - 1)), ambient)
 
 
 def link(rel: RelCharSeq, s: int) -> RelCharSeq:
@@ -239,47 +233,35 @@ def minimal_delta_seq(d: int, alpha: int) -> RelCharSeq:
 
 
 def phi_rel(rel: RelCharSeq, l: int) -> int:
-    """Hilbert function of Y evaluated through its relative sequence."""
+    """Hilbert function of Y evaluated through its relative sequence: the
+    ambient's binomial sum less that of the entries, one cone dimension
+    down, which equals ``phi_from_charseq(abs_from_rel(rel), l)`` whenever
+    the absolute sequence exists."""
     m = rel.ambient.cone_dim - 1
     if m < 0:
         raise DomainError("ambient cone dimension must be >= 1")
-    total = 0
-    for mi, ni in zip(rel.ambient.entries, rel.entries):
-        if l >= mi:
-            total += comb(m + l - mi, m)
-        if l >= ni:
-            total -= comb(m + l - ni, m)
-    return total
+    return _phi_sum(rel.ambient.entries, m, l) - _phi_sum(rel.entries, m, l)
 
 
 def genus_acm_curve(section: RelCharSeq | CharSeq, alpha: int) -> int:
     """Arithmetic genus from a hyperplane-section sequence of degree alpha.
 
-    Sums the deficiencies alpha - phi(l) for l >= 1; the sum is finite
-    because phi reaches alpha at the last entry.
+    A relative section is read through its absolute sequence
+    (:func:`abs_from_rel`), so entries below the ambient raise DomainError,
+    and so does an ambient that is not a curve: the section must be a point
+    group.  Sums the deficiencies alpha - phi(l) for l >= 1; the sum is
+    finite because phi reaches alpha at the last entry.
     """
     if isinstance(section, RelCharSeq):
-        if rel_degree(section) != alpha:
-            raise DomainError(
-                f"section has degree {rel_degree(section)}, not the stated alpha={alpha}"
-            )
-
-        def phi(l: int) -> int:
-            return phi_rel(section, l)
-
-    else:
-        if section.cone_dim != 1:
-            raise DomainError("a section of a curve is a point group (cone dimension 1)")
-        if section.d != alpha:
-            raise DomainError(f"section has degree {section.d}, not the stated alpha={alpha}")
-
-        def phi(l: int) -> int:
-            return phi_from_charseq(section, l)
-
+        section = abs_from_rel(section)
+    if section.cone_dim != 1:
+        raise DomainError("a section of a curve is a point group (cone dimension 1)")
+    if section.d != alpha:
+        raise DomainError(f"section has degree {section.d}, not the stated alpha={alpha}")
     top = max(section.entries) if section.entries else 0
     genus = 0
     for l in range(1, top + 1):
-        deficiency = alpha - phi(l)
+        deficiency = alpha - phi_from_charseq(section, l)
         if deficiency < 0:
             raise DomainError("section Hilbert function exceeds its degree; invalid input")
         genus += deficiency

@@ -24,7 +24,7 @@ import numpy as np
 from . import modlin
 from .errors import DomainError, GeometryError
 from .liaison import RelCharSeq, rel_from_abs
-from .seqcalc import CharSeq, entries_from_widths, plane_curve_charseq
+from .seqcalc import CharSeq, entries_from_widths, phi_from_charseq, plane_curve_charseq
 
 SMALL_FIELD_SCAN = 101  # full P^2 enumeration is feasible up to here
 POOL_MAX = 5000
@@ -345,21 +345,26 @@ def point_group(p: int, points: Iterable[ProjPoint], curve: PlaneCurve | None = 
 def _group(
     p: int, checked: tuple[ProjPoint, ...], new: tuple[ProjPoint, ...], curve: PlaneCurve | None
 ) -> PointGroup:
-    # ``checked`` already lie on ``curve``, and so do the points of a pool it
-    # holds, which admits only points found on it exactly; the rest of
-    # ``new`` is evaluated.
+    # ``checked`` already lie on ``curve``; only ``new`` is checked.
     raw = checked + new
     pts = tuple(sorted(set(raw), key=attrgetter("coords")))
     if len(pts) != len(raw):
         raise DomainError("point group needs pairwise distinct points")
     if curve is not None:
-        if curve.p != p:
-            raise DomainError("curve modulus differs from the group modulus")
-        found = _pool_flags(curve)
-        bad = [q for q in new if q not in found and not curve.contains(q)]
-        if bad:
-            raise DomainError(f"{len(bad)} point(s) do not lie on the ambient curve")
+        _check_on_curve(curve, p, new)
     return PointGroup(p, pts, curve)
+
+
+def _check_on_curve(curve: PlaneCurve, p: int, points: Iterable[ProjPoint]) -> None:
+    """Raise DomainError unless the mod-p ``points`` lie on ``curve``.  A
+    point of the curve's built pool, which admits only points found on it
+    exactly, is not evaluated again."""
+    if curve.p != p:
+        raise DomainError("curve modulus differs from the group modulus")
+    found = _pool_flags(curve)
+    bad = [q for q in points if q not in found and not curve.contains(q)]
+    if bad:
+        raise DomainError(f"{len(bad)} point(s) do not lie on the ambient curve")
 
 
 def _pool_flags(curve: PlaneCurve) -> dict[ProjPoint, bool]:
@@ -426,13 +431,9 @@ def phi_points(group: PointGroup, l: int) -> int:
 
 
 def phi_plane_curve(d: int, l: int) -> int:
-    """Hilbert function of a plane curve of degree d."""
-    if d < 1:
-        raise DomainError("curve degree must be >= 1")
-    if l < 0:
-        return 0
-    high = comb(l - d + 2, 2) if l >= d else 0
-    return comb(l + 2, 2) - high
+    """Hilbert function of a plane curve of degree d, read from its
+    sequence (0, 1, ..., d-1): C(l + 2, 2) - C(l - d + 2, 2)."""
+    return phi_from_charseq(plane_curve_charseq(d), l)
 
 
 def span_rank(group: PointGroup) -> int:
@@ -740,20 +741,12 @@ def section_points(X: PlaneCurve, H: PlaneCurve, require_transverse: bool = True
 # --- measurement ---
 
 
-def _check_on_curve(X: PlaneCurve, Y: PointGroup):
-    if Y.p != X.p:
-        raise DomainError("group and curve moduli differ")
-    for q in Y.points:
-        if not X.contains(q):
-            raise DomainError(f"point {q.coords} does not lie on the curve")
-
-
 def measure_rcs(X: PlaneCurve, Y: PointGroup) -> RelCharSeq:
     """Measure the relative characteristic sequence of Y on the plane curve X:
     the measured absolute sequence of Y read over X through ``rel_from_abs``,
     which rejects a pair no relative sequence accounts for."""
     if Y.curve != X:  # a group built on X had each point checked then
-        _check_on_curve(X, Y)
+        _check_on_curve(X, Y.p, Y.points)
     return rel_from_abs(plane_curve_charseq(X.degree), measure_abs(Y))
 
 
@@ -779,7 +772,7 @@ def dim_linear_system(X: PlaneCurve, Y: PointGroup) -> int:
     point is checked.
     """
     if Y.curve != X:
-        _check_on_curve(X, Y)
+        _check_on_curve(X, Y.p, Y.points)
     smooth = _pool_flags(X)
     for q in Y.points:
         if (not smooth[q]) if q in smooth else is_singular_point(X, q):

@@ -102,7 +102,18 @@ def phi_from_charseq(seq: CharSeq, l: int) -> int:
     m = seq.cone_dim - 1
     if m < 0:
         return seq.entries.count(l)
-    return sum(comb(m + l - mi, m) for mi in seq.entries if l >= mi)
+    return _phi_sum(seq.entries, m, l)
+
+
+def _phi_sum(entries: Sequence[int], m: int, l: int) -> int:
+    # C(m + l - e, m) summed over the sorted entries e <= l; the one place
+    # a Hilbert function is evaluated from a sequence.
+    total = 0
+    for e in entries:
+        if e > l:
+            break
+        total += comb(m + l - e, m)
+    return total
 
 
 def hilbert_function(seq: CharSeq) -> HilbertFn:

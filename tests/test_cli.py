@@ -395,6 +395,9 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     assert code == 1 and err.startswith("error:")  # an OSError
     code, _, err = run_cli(capsys, "link", "--ambient", "0,1,2,3", "--rel", "2,2,3,3", "--s", "1")
     assert code == 1
+    # entries below the plane ambient have no absolute sequence, so no genus
+    code, out, err = run_cli(capsys, "genus", "--rel", "0,0,0", "--alpha", "-3")
+    assert code == 1 and out == "" and "no absolute sequence exists" in err
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2

@@ -1,6 +1,7 @@
 """Liaison calculus: conversions, the reflection, splitting, minimal sequences."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from charseq.errors import DomainError, NotConsistentError
 from charseq.liaison import (
     LiaisonError,
     RelCharSeq,
-    _composite_widths,
     abs_from_rel,
     add_section,
     genus_acm_curve,
@@ -23,7 +23,13 @@ from charseq.liaison import (
     split_on_gap,
 )
 from charseq.macaulay import is_zero_sequence
-from charseq.seqcalc import CharSeq, ci_charseq, plane_curve_charseq, widths_from_entries
+from charseq.seqcalc import (
+    CharSeq,
+    ci_charseq,
+    phi_from_charseq,
+    plane_curve_charseq,
+    widths_from_entries,
+)
 
 QUARTIC = plane_curve_charseq(4)
 SEXTIC = plane_curve_charseq(6)
@@ -90,6 +96,79 @@ def test_abs_rel_mutually_inverse(rel):
     assert rel_from_abs(rel.ambient, abs_from_rel(rel)).entries == rel.entries
 
 
+def _composite_widths(ambient, n):
+    """The composite widths as ``RelCharSeq.violations`` summed them, one
+    pass over both sequences per degree: c_i - d_i with c_i = #{m_j <= i},
+    d_i = #{n_j <= i}."""
+    m = ambient.entries
+    if not m:
+        return (0,)
+    top = max(max(m), max(n) if n else 0)
+    out = []
+    for i in range(top + 1):
+        ci = sum(1 for mj in m if mj <= i)
+        di = sum(1 for nj in n if nj <= i)
+        out.append(ci - di)
+    return tuple(out)
+
+
+def violations_summed(rel, irreducible=False):
+    """``RelCharSeq.violations`` as it was, over ``_composite_widths``."""
+    out = []
+    m, n = rel.ambient.entries, rel.entries
+    if any(ni < mi for ni, mi in zip(n, m)):
+        out.append("entry_below_ambient")
+    if irreducible and any(b > a + 1 for a, b in zip(n, n[1:])):
+        out.append("jump_above_one")
+    if not out:
+        if not is_zero_sequence(_composite_widths(rel.ambient, n), start_degree=0, cone_rule=True).ok:
+            out.append("composite_widths_not_zero_sequence")
+    return tuple(out)
+
+
+def phi_rel_one_loop(rel, l):
+    """``phi_rel`` as it was: one loop over the paired entries."""
+    m = rel.ambient.cone_dim - 1
+    if m < 0:
+        raise DomainError("ambient cone dimension must be >= 1")
+    total = 0
+    for mi, ni in zip(rel.ambient.entries, rel.entries):
+        if l >= mi:
+            total += comb(m + l - mi, m)
+        if l >= ni:
+            total -= comb(m + l - ni, m)
+    return total
+
+
+def genus_two_branches(section, alpha):
+    """``genus_acm_curve`` as it was: a relative section summed through
+    ``phi_rel_one_loop`` up to its last entry, with no absolute sequence."""
+    if isinstance(section, RelCharSeq):
+        if rel_degree(section) != alpha:
+            raise DomainError(f"section has degree {rel_degree(section)}, not the stated alpha={alpha}")
+
+        def phi(l):
+            return phi_rel_one_loop(section, l)
+
+    else:
+        if section.cone_dim != 1:
+            raise DomainError("a section of a curve is a point group (cone dimension 1)")
+        if section.d != alpha:
+            raise DomainError(f"section has degree {section.d}, not the stated alpha={alpha}")
+
+        def phi(l):
+            return phi_from_charseq(section, l)
+
+    top = max(section.entries) if section.entries else 0
+    genus = 0
+    for l in range(1, top + 1):
+        deficiency = alpha - phi(l)
+        if deficiency < 0:
+            raise DomainError("section Hilbert function exceeds its degree; invalid input")
+        genus += deficiency
+    return genus
+
+
 def rel_from_abs_long_scan(ambient, abs_y):
     """``rel_from_abs`` as it was: the cumulative counts scanned up to
     max(m) + |abs_y| + 1 as well, then checked to end at the ambient degree."""
@@ -133,6 +212,14 @@ def outcome(fn, *args):
         return fn(*args)
     except Exception as exc:  # noqa: BLE001 - the type is the outcome compared
         return type(exc)
+
+
+def outcome_text(fn, *args):
+    """The value, or the exception's type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type and text are the outcome compared
+        return type(exc), str(exc)
 
 
 @st.composite
@@ -264,6 +351,66 @@ def test_phi_rel_matches_absolute_count(rel):
     absolute = abs_from_rel(rel)
     for l in range(-1, rel.entries[-1] + 2):
         assert phi_rel(rel, l) == phi_from_charseq(absolute, l)
+
+
+@st.composite
+def any_rels(draw):
+    """A relative sequence over an ambient of cone_dim 0-3, entries -2..7:
+    drawn apart, so often below the ambient, or dominating it entry by entry."""
+    d = draw(st.integers(0, 6))
+    entries = st.lists(st.integers(-2, 7), min_size=d, max_size=d).map(sorted)
+    ambient = CharSeq(tuple(draw(entries)), draw(st.integers(0, 3)), 1)
+    if draw(st.booleans()):
+        rel = draw(entries)
+    else:
+        rel = sorted(mi + draw(st.integers(0, 3)) for mi in ambient.entries)
+    return RelCharSeq(tuple(rel), ambient)
+
+
+def below_or_off_curve(rel):
+    """The inputs the absolute reading of a section rejects."""
+    below = any(ni < mi for ni, mi in zip(rel.entries, rel.ambient.entries))
+    return below or rel.ambient.cone_dim != 2
+
+
+@given(admissible_rels())
+@settings(max_examples=200)
+def test_sequence_quantities_match_the_old_loops_on_plane_sequences(rel):
+    for l in range(-2, rel.entries[-1] + 3):
+        assert phi_rel(rel, l) == phi_rel_one_loop(rel, l)
+    for irreducible in (False, True):
+        assert rel.violations(irreducible) == violations_summed(rel, irreducible)
+    alpha = rel_degree(rel)
+    assert genus_acm_curve(rel, alpha) == genus_two_branches(rel, alpha)
+    absolute = abs_from_rel(rel)
+    assert genus_acm_curve(absolute, alpha) == genus_two_branches(absolute, alpha)
+    for wrong in (alpha - 1, alpha + 1):
+        assert outcome_text(genus_acm_curve, rel, wrong) == outcome_text(genus_two_branches, rel, wrong)
+
+
+@given(any_rels(), st.integers(-3, 10), st.integers(-3, 12))
+@settings(max_examples=400)
+def test_sequence_quantities_match_the_old_loops_on_any_sequence(rel, l, alpha):
+    assert outcome_text(phi_rel, rel, l) == outcome_text(phi_rel_one_loop, rel, l)
+    for irreducible in (False, True):
+        assert outcome_text(rel.violations, irreducible) == outcome_text(violations_summed, rel, irreducible)
+    for a in (alpha, rel_degree(rel)):
+        new = outcome_text(genus_acm_curve, rel, a)
+        if below_or_off_curve(rel):
+            assert isinstance(new, tuple) and new[0] is DomainError
+        else:
+            assert new == outcome_text(genus_two_branches, rel, a)
+
+
+def test_genus_rejects_a_relative_section_with_no_absolute_sequence():
+    below = RelCharSeq((0, 0, 0), plane_curve_charseq(3))
+    assert genus_two_branches(below, -3) == 0  # the old sum read a genus
+    with pytest.raises(DomainError, match="no absolute sequence exists"):
+        genus_acm_curve(below, -3)
+    off_curve = RelCharSeq((1,), CharSeq((0,), 1, 1))  # an ambient point group
+    assert genus_two_branches(off_curve, 1) == 1
+    with pytest.raises(DomainError, match="a section of a curve is a point group"):
+        genus_acm_curve(off_curve, 1)
 
 
 def test_genus_examples():

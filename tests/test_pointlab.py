@@ -1,6 +1,7 @@
 """The geometry engine: evaluation ranks, measurement, sections, filtrations."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,13 @@ def test_phi_points_small_configurations():
     assert phi_points(four, -1) == 0
 
 
+def test_phi_plane_curve_matches_the_closed_form():
+    for d in range(1, 13):
+        for l in range(-3, 31):
+            high = comb(l - d + 2, 2) if l >= d else 0
+            assert phi_plane_curve(d, l) == (comb(l + 2, 2) - high if l >= 0 else 0)
+
+
 def test_phi_plane_curve_formula():
     assert phi_plane_curve(4, 2) == 6
     assert phi_plane_curve(4, 4) == 14
@@ -156,8 +164,9 @@ def test_measure_rcs_rejects_points_off_curve(quartic_big):
     X = quartic_big
     q = proj_point(1, 0, 0, P)
     assert not X.contains(q)
-    with pytest.raises(DomainError):
-        measure_rcs(X, point_group(P, [q]))
+    for measure in (measure_rcs, dim_linear_system):  # the group builder's check and text
+        with pytest.raises(DomainError, match="1 point.s. do not lie on the ambient curve"):
+            measure(X, point_group(P, [q]))
 
 
 def test_abs_from_rel_matches_direct_measurement(quartic_big):
@@ -446,14 +455,16 @@ def test_points_are_checked_on_their_curve_once(quartic_big, monkeypatch):
     grown = Y.union(list(extra) + outside)
     assert calls == outside
     del calls[:]
-    # a group with no curve, or built on another curve, is checked point by point
+    # a group with no curve, or built on another curve, is checked against
+    # X's pool as well: 2 outside points x 2 groups x 2 functions
     on_no_curve = point_group(P, grown.points)
     on_other = point_group(P, grown.points, multiply_curves(X, line_through(P, *grown.points[:2])))
     del calls[:]
     for Z in (on_no_curve, on_other):
         measure_rcs(X, Z)
         dim_linear_system(X, Z)
-    assert calls == 4 * list(grown.points)
+    assert calls == 4 * [q for q in grown.points if q in outside]
+    assert len(calls) == 8
     with pytest.raises(DomainError, match="do not lie on the ambient curve"):
         Y.union([proj_point(1, 0, 0, P)])
 
@@ -495,3 +506,20 @@ def test_section_points_resultant_path(quartic_small):
     assert section.points == tuple(sorted(pts))
     scan = {q for q in rational_points(X) if H.contains(q)}
     assert set(section.points) == scan
+
+
+def test_a_failed_sextic_attempt_moves_to_the_next(monkeypatch):
+    # a GeometryError inside an attempt ends it as a None would
+    calls = []
+    intersect = constructions.intersect_curves
+
+    def fail_first(f, h):
+        calls.append(f)
+        if len(calls) == 1:
+            raise GeometryError("first intersection refused")
+        return intersect(f, h)
+
+    monkeypatch.setattr(constructions, "intersect_curves", fail_first)
+    cfg = constructions.sextic_with_marked_sections(10007, seed=0)
+    assert len(calls) >= 2
+    assert len(cfg.line_points) == 6 and len(cfg.conic_points) == 12

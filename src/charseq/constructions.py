@@ -91,21 +91,24 @@ def random_curve_through(
 
 
 SMOOTH_SAMPLES = 16  # pool points random_smooth_curve checks
-SPLIT_LINE_TRIES = 400  # lines split_line draws before it gives up
+SPLIT_LINE_TRIES = 400  # lines split_line and aligned_points_on_curve draw before they give up
+SECTION_ATTEMPTS = 40  # sets of s split lines split_section tries
 
 
 def random_smooth_curve(p: int, d: int, seed: int) -> PlaneCurve:
     """A random degree-d curve whose sampled rational points are all smooth.
 
-    Smoothness is checked at up to SMOOTH_SAMPLES pool points (nonvanishing
-    partials), which is the working notion of a smooth irreducible member
-    here; curves with fewer than four rational points or a singular sample
-    are redrawn.
+    Smoothness (nonvanishing partials) is checked at every point of
+    ``point_pool(curve, SMOOTH_SAMPLES)``: every rational point for
+    p <= SMALL_FIELD_SCAN, where the pool is complete, and up to
+    SMOOTH_SAMPLES sampled ones above.  That is the working notion of a
+    smooth irreducible member here; curves with fewer than four rational
+    points or a singular one checked are redrawn.
     """
     for attempt in range(64):
         curve = random_curve_through(p, d, (), seed * 64 + attempt)
         pool = point_pool(curve, SMOOTH_SAMPLES)
-        if len(pool) >= 4 and all(curve.pool.smooth[q] for q in pool[:SMOOTH_SAMPLES]):
+        if len(pool) >= 4 and all(curve.pool.smooth[q] for q in pool):
             return curve
     raise GeometryError(f"no smooth-looking degree-{d} curve found over p={p}")
 
@@ -167,32 +170,34 @@ def split_section(
     """
     if s < 1:
         raise GeometryError("section degree must be >= 1")
-    for attempt in range(40):
+    short = 0  # attempts in which split_line ran out of lines
+    for attempt in range(SECTION_ATTEMPTS):
         rng = random.Random(fold_seed(seed, attempt, 71))
         banned = set(avoid)
         lines: list[PlaneCurve] = []
         points: list[ProjPoint] = []
-        ok = True
-        for i in range(s):
+        for _ in range(s):
             try:
                 line, pts = split_line(X, rng.randrange(2**30), frozenset(banned))
             except GeometryError:
                 if X.p <= SMALL_FIELD_SCAN and not X.split_lines.split:
                     raise  # proven: no split line exists, so no retry can help
-                ok = False
                 break
             lines.append(line)
             points.extend(pts)
             banned.update(pts)
-        if not ok:
-            continue
-        if s > 1 and _lines_cross_on_curve(X, lines):
-            continue
-        H = lines[0]
-        for line in lines[1:]:
-            H = multiply_curves(H, line)
-        return H, tuple(sorted(points))
-    raise GeometryError(f"no transverse degree-{s} section found; try another seed")
+        if len(lines) < s:
+            short += 1
+        elif not _lines_cross_on_curve(X, lines):
+            H = lines[0]
+            for line in lines[1:]:
+                H = multiply_curves(H, line)
+            return H, tuple(sorted(points))
+    raise GeometryError(
+        f"no transverse degree-{s} section found in {SECTION_ATTEMPTS} attempts: {short} found "
+        f"too few split lines and {SECTION_ATTEMPTS - short} had two lines crossing on the "
+        "curve; try another seed"
+    )
 
 
 def _lines_cross_on_curve(X: PlaneCurve, lines) -> bool:
@@ -210,13 +215,22 @@ def aligned_points_on_curve(X: PlaneCurve, k: int, seed: int) -> tuple[ProjPoint
     if k > d:
         raise GeometryError(f"a line meets a degree-{d} curve in at most {d} points")
     pool = X.smooth_pool
+    if len(pool) < 2:
+        raise GeometryError("not enough smooth rational points to anchor a line")
     rng = random.Random(seed)
-    for _ in range(400):
+    lines, best = set(), 0
+    for _ in range(SPLIT_LINE_TRIES):
         a, b = rng.sample(pool, 2)
+        lines.add(proj_point(*cross(a.coords, b.coords, X.p), X.p))
         pts = [q for q in line_points_on_curve(X, a, b) if not is_singular_point(X, q)]
         if len(pts) >= k:
             return tuple(sorted(rng.sample(pts, k)))
-    raise GeometryError("no line with enough rational curve points found")
+        best = max(best, len(pts))
+    raise GeometryError(
+        f"no line with {k} smooth rational curve points found in {SPLIT_LINE_TRIES} tries: "
+        f"{len(lines)} distinct lines through pairs of its {len(pool)} smooth pool points "
+        f"held at most {best}"
+    )
 
 
 _STYLE_CODES = {"generic": 1, "aligned": 2, "conic": 3}

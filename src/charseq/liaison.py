@@ -58,8 +58,9 @@ class RelCharSeq:
 
     def violations(self, irreducible: bool = False) -> tuple[str, ...]:
         """Names of the invariants this sequence breaks (empty when valid);
-        the composite widths #{m_j <= i} - #{n_j <= i} are tested against
-        the growth bound only when no other invariant fails."""
+        the composite widths #{m_j <= i} - #{n_j <= i}, i = 0, ..., max(0,
+        entries), are tested against the growth bound only when no other
+        invariant fails."""
         out: list[str] = []
         m = self.ambient.entries
         n = self.entries
@@ -68,7 +69,7 @@ class RelCharSeq:
         if irreducible and any(b > a + 1 for a, b in zip(n, n[1:])):
             out.append("jump_above_one")
         if not out:
-            top = max(m + n, default=0)
+            top = max((0, *m, *n))
             composite = [c - d for c, d in zip(_counts(m, top), _counts(n, top))]
             if not is_zero_sequence(composite, start_degree=0, cone_rule=True).ok:
                 out.append("composite_widths_not_zero_sequence")

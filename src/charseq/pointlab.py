@@ -2,9 +2,9 @@
 
 Points, curves, evaluation matrices, and the rank-based measurement of
 Hilbert functions and characteristic sequences.  Everything is exact mod p
-and deterministic given the inputs and a seed, so this module doubles as
-the brute-force oracle behind every sequence-level statement in the
-package.
+and deterministic; a seed enters only where points are sampled.  So this
+module doubles as the brute-force oracle behind every sequence-level
+statement in the package.
 """
 
 from __future__ import annotations
@@ -86,9 +86,15 @@ class PlaneCurve:
 
     @cached_property
     def partials(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
-        """The three partial derivatives, as term lists like ``terms``."""
+        """The three partial derivatives, as term lists like ``terms``: each
+        term whose derivative in the variable is nonzero, lowered in it."""
         return tuple(
-            tuple((*e, c) for e, c in _partial_dict(self, var).items()) for var in range(3)
+            tuple(
+                (*(v - (i == var) for i, v in enumerate(e)), e[var] * c % self.p)
+                for *e, c in self.terms
+                if e[var] * c % self.p
+            )
+            for var in range(3)
         )
 
     @cached_property
@@ -207,19 +213,6 @@ def multiply_curves(a: PlaneCurve, b: PlaneCurve) -> PlaneCurve:
     return plane_curve(a.p, out)
 
 
-def _partial_dict(curve: PlaneCurve, var: int) -> dict[tuple[int, int, int], int]:
-    out: dict[tuple[int, int, int], int] = {}
-    for e1, e2, e3, c in curve.terms:
-        e = (e1, e2, e3)
-        if e[var] == 0:
-            continue
-        new = list(e)
-        new[var] -= 1
-        key = tuple(new)
-        out[key] = (out.get(key, 0) + e[var] * c) % curve.p
-    return {k: v for k, v in out.items() if v != 0}
-
-
 def gradient_at(curve: PlaneCurve, q: ProjPoint) -> tuple[int, int, int]:
     powers = _powers(q, curve.degree - 1, curve.p)
     return tuple(_eval_at(partial, powers, curve.p) for partial in curve.partials)
@@ -259,9 +252,9 @@ class PointGroup:
         """phi_Y(0), ..., phi_Y(r), stopping at the first degree r where phi_Y = |Y|.
 
         One forward elimination over the nested spans of ``_nested_spans``
-        gives every value.  Only a group that no line of ``_free_line``
-        avoids takes one ``phi_points`` rank per degree; that is certain
-        when the group meets every line, which needs |Y| > p.
+        gives every value.  Only a group that meets every line of
+        ``_free_line``'s pencil takes one ``phi_points`` rank per degree,
+        and that needs |Y| > p.
         The Hilbert function of distinct points does not decrease and never
         exceeds |Y|, so it stays at |Y| from r on; distinct points are
         separated in degree |Y| - 1, which bounds the scan.
@@ -289,22 +282,23 @@ class PointGroup:
         return _group(self.p, self.points, tuple(extra), self.curve)
 
 
-_LINE_BATCH = 64
-
-
 def _free_line(coords: np.ndarray, p: int) -> np.ndarray | None:
     """Coefficients of a linear form that vanishes at no row of ``coords``:
-    the first of z, y, x that does, else the first of a seeded batch of
-    lines, else None (certain when the points meet every line)."""
+    the first of z, y, x that does, else the first that does of the p + 1
+    lines through b, the first ``_plane_scan`` point not a row: to c1, then
+    to c0 + y*c1 for y = 0, 1, ... (``_frame(b)``).  Each other point lies on
+    one of them, so one misses any group of at most p points; else None."""
     for var in (2, 1, 0):
         if np.all(coords[:, var] != 0):
             return np.eye(3, dtype=np.int64)[var]
-    rng = random.Random(p)
-    lines = np.array(
-        [[rng.randrange(p) for _ in range(_LINE_BATCH)] for _ in range(3)], dtype=np.int64
-    )
-    free = np.all(modlin.matmul(coords, lines, p) != 0, axis=0)
-    return lines[:, int(np.argmax(free))] if free.any() else None
+    rows = set(map(tuple, coords.tolist()))
+    b = next((v for v in _plane_scan(p, p) if proj_point(*v, p).coords not in rows), None)
+    if b is None:
+        return None
+    c1, c0 = _frame(b)
+    ends = chain([c1], (tuple(u + y * v for u, v in zip(c0, c1)) for y in range(p)))
+    lines = (np.array(cross(b, c, p), dtype=np.int64) for c in ends)
+    return next((line for line in lines if np.all(modlin.matmul(coords, line, p) != 0)), None)
 
 
 def _nested_spans(coords: np.ndarray, form: np.ndarray, p: int) -> Iterator[int]:
@@ -644,11 +638,19 @@ def random_points_on_curve(
 # --- curve intersection via resultants ---
 
 
-def _random_invertible(rng: random.Random, p: int) -> list[list[int]]:
-    while True:
-        mat = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
-        if modlin.det(np.array(mat, dtype=np.int64), p) != 0:
-            return mat
+def _plane_scan(p: int, width: int) -> Iterator[tuple[int, int, int]]:
+    """(1:a:b) for a < p and b < min(p, width), then (0:1:b) for b < p, then
+    (0:0:1): every point of P^2(F_p) once when width >= p."""
+    yield from ((1, a, b) for a in range(p) for b in range(min(p, width)))
+    yield from ((0, 1, b) for b in range(p))
+    yield (0, 0, 1)
+
+
+def _frame(b: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """c1 and c0, the unit vectors that skip b's first nonzero coordinate:
+    (b, c1, c0) is a basis, the identity for b = (1:0:0)."""
+    i = next(k for k, v in enumerate(b) if v)
+    return tuple(tuple(int(k == j) for k in range(3)) for j in range(3) if j != i)
 
 
 def intersect_curves(f: PlaneCurve, h: PlaneCurve) -> tuple[ProjPoint, ...]:
@@ -656,15 +658,19 @@ def intersect_curves(f: PlaneCurve, h: PlaneCurve) -> tuple[ProjPoint, ...]:
 
     Exact for any prime field with p > deg(f)*deg(h).  The plane is swept by
     the lines through a centre b off both curves: line y joins b to
-    c0 + y*c1, and one more joins b to c1.  f(b) and h(b) are the top
-    coefficients of every restriction, so the resultant R(y) of the two
-    restrictions has degree <= deg(f)*deg(h), vanishes at each line through
-    a common zero, and vanishes identically exactly when the curves share a
-    component (GeometryError).  The common zeros on a line are the roots of
-    the gcd of its restrictions.  b, c1 and c0 are the columns of the
-    identity when (1:0:0) is off both curves, else of the first of 64
-    invertible matrices from a fixed generator that puts b off both.  The
-    result does not depend on the frame: every line through b is swept.
+    c0 + y*c1, and one more joins b to c1 (``_frame``).  f(b) and h(b) are
+    the top coefficients of every restriction, so the resultant R(y) of the
+    two restrictions has degree <= deg(f)*deg(h), vanishes at each line
+    through a common zero, and vanishes identically exactly when the curves
+    share a component (GeometryError).  The common zeros on a line are the
+    roots of the gcd of its restrictions; as every line through b is swept,
+    the result does not depend on b.
+
+    b is the first point of ``_plane_scan(p, e + 1)`` off f*h, of degree
+    e = deg(f) + deg(h) <= deg(f)*deg(h) + 1 <= p.  A line y = a*x that is
+    no component of f*h holds at most e of its zeros, so misses one of
+    (1:a:0..e); at most e such lines are components.  For e + 1 >= p the
+    scan is the plane, where no nonzero form of degree <= p vanishes.
     """
     if f.p != h.p:
         raise DomainError("curves live over different fields")
@@ -672,15 +678,9 @@ def intersect_curves(f: PlaneCurve, h: PlaneCurve) -> tuple[ProjPoint, ...]:
     d, s = f.degree, h.degree
     if d * s >= p:
         raise DomainError(f"field too small for an exact intersection of degrees {d} and {s}")
-    rng = random.Random(0)
-    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    for matrix in chain([identity], (_random_invertible(rng, p) for _ in range(64))):
-        b, c1, c0 = zip(*matrix)  # the columns M*e1, M*e2, M*e3
-        centre = proj_point(*b, p)
-        if not (f.contains(centre) or h.contains(centre)):
-            break
-    else:
-        raise GeometryError("no centre off both curves found in 64 random frames")
+    scan = (proj_point(*v, p) for v in _plane_scan(p, d + s + 1))
+    b = next(q for q in scan if not (f.contains(q) or h.contains(q))).coords
+    c1, c0 = _frame(b)
 
     def restrictions(a):
         return _restrict_to_line(f, a, b), _restrict_to_line(h, a, b)

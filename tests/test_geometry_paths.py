@@ -9,14 +9,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from charseq import modlin
+from charseq import constructions, modlin
 from charseq.constructions import (
     _lines_cross_on_curve,
+    aligned_points_on_curve,
     curves_through,
     line_through,
     multiply_curves,
     random_curve_through,
     split_line,
+    split_section,
 )
 from charseq.errors import DomainError, GeometryError
 from charseq.linsys import _curve_through_group
@@ -363,6 +365,44 @@ def test_split_line_tries_say_what_they_drew_at_a_large_prime():
     message = f"in 400 tries: {len(drawn)} distinct lines through pairs of its {len(pool)} smooth"
     with pytest.raises(GeometryError, match=message):
         split_line(X, seed=0, avoid=frozenset(pool))
+
+
+@pytest.mark.parametrize("failure", ("no split line", "crossing lines"))
+def test_split_section_exhaustion_counts_each_failure(failure, monkeypatch):
+    X = corpus_curve(10007, 4)
+    if failure == "no split line":
+        def refuse(*args):
+            raise GeometryError("no fully split line found")
+
+        monkeypatch.setattr(constructions, "split_line", refuse)
+        counts = "40 found too few split lines and 0 had"
+    else:
+        monkeypatch.setattr(constructions, "_lines_cross_on_curve", lambda X, lines: True)
+        counts = "0 found too few split lines and 40 had"
+    message = f"no transverse degree-2 section found in 40 attempts: {counts} two lines crossing"
+    with pytest.raises(GeometryError, match=message):
+        split_section(X, 2, seed=0)
+
+
+def test_aligned_points_exhaustion_says_what_it_tried(monkeypatch):
+    # each line is cut down to two points, so no line holds three
+    X = corpus_curve(10007, 4)
+    pool = X.smooth_pool
+    rng = random.Random(5)
+    drawn = {proj_point(*cross(*(q.coords for q in rng.sample(pool, 2)), X.p), X.p) for _ in range(400)}
+    monkeypatch.setattr(
+        constructions, "line_points_on_curve", lambda X, a, b: line_points_on_curve(X, a, b)[:2]
+    )
+    message = (
+        f"no line with 3 smooth rational curve points found in 400 tries: {len(drawn)} distinct "
+        f"lines through pairs of its {len(pool)} smooth pool points held at most 2"
+    )
+    with pytest.raises(GeometryError, match=message):
+        aligned_points_on_curve(X, 3, seed=5)
+    # x^2 + y^2 over F_103 has one rational point, (0:0:1), and it is singular
+    lines = plane_curve(103, {(2, 0, 0): 1, (0, 2, 0): 1})
+    with pytest.raises(GeometryError, match="not enough smooth rational points"):
+        aligned_points_on_curve(lines, 2, seed=0)
 
 
 def nodal_cubic(p):

@@ -99,11 +99,11 @@ def test_abs_rel_mutually_inverse(rel):
 def _composite_widths(ambient, n):
     """The composite widths as ``RelCharSeq.violations`` summed them, one
     pass over both sequences per degree: c_i - d_i with c_i = #{m_j <= i},
-    d_i = #{n_j <= i}."""
+    d_i = #{n_j <= i}, for i = 0, ..., max(0, entries)."""
     m = ambient.entries
     if not m:
         return (0,)
-    top = max(max(m), max(n) if n else 0)
+    top = max(0, max(m), max(n) if n else 0)
     out = []
     for i in range(top + 1):
         ci = sum(1 for mj in m if mj <= i)
@@ -355,10 +355,12 @@ def test_phi_rel_matches_absolute_count(rel):
 
 @st.composite
 def any_rels(draw):
-    """A relative sequence over an ambient of cone_dim 0-3, entries -2..7:
-    drawn apart, so often below the ambient, or dominating it entry by entry."""
+    """A relative sequence over an ambient of cone_dim 0-3, entries in a
+    window of ten from -8..1 up to 0..9, so often all negative: drawn apart,
+    so often below the ambient, or dominating it entry by entry."""
     d = draw(st.integers(0, 6))
-    entries = st.lists(st.integers(-2, 7), min_size=d, max_size=d).map(sorted)
+    low = draw(st.integers(-8, 0))
+    entries = st.lists(st.integers(low, low + 9), min_size=d, max_size=d).map(sorted)
     ambient = CharSeq(tuple(draw(entries)), draw(st.integers(0, 3)), 1)
     if draw(st.booleans()):
         rel = draw(entries)
@@ -393,7 +395,8 @@ def test_sequence_quantities_match_the_old_loops_on_plane_sequences(rel):
 def test_sequence_quantities_match_the_old_loops_on_any_sequence(rel, l, alpha):
     assert outcome_text(phi_rel, rel, l) == outcome_text(phi_rel_one_loop, rel, l)
     for irreducible in (False, True):
-        assert outcome_text(rel.violations, irreducible) == outcome_text(violations_summed, rel, irreducible)
+        found = rel.violations(irreducible)  # a report on any sequence, never an error
+        assert found == violations_summed(rel, irreducible)
     for a in (alpha, rel_degree(rel)):
         new = outcome_text(genus_acm_curve, rel, a)
         if below_or_off_curve(rel):
@@ -466,6 +469,11 @@ def test_violations_reporting():
     assert ok.violations() == ()
     below = RelCharSeq((0, 0, 1, 2), QUARTIC)
     assert "entry_below_ambient" in below.violations()
+    # every entry below 0: the composite widths still run over degree 0, and
+    # abs_from_rel accepts the sequence too
+    negative = RelCharSeq((-1,), CharSeq((-1,), 2, 1))
+    assert negative.violations() == ()
+    assert abs_from_rel(negative) == CharSeq((), 1, 2)
     jumpy = RelCharSeq((2, 3, 5, 6), QUARTIC)
     assert "jump_above_one" in jumpy.violations(irreducible=True)
     assert jumpy.violations(irreducible=False) == ()

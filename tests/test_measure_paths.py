@@ -278,28 +278,39 @@ def test_hilbert_of_any_point_set_over_a_small_field(p, rng):
 
 
 def forced_group(p, branch):
-    """A group whose linear form must be y, x, a line of the seeded batch,
-    or none at all (the fallback)."""
+    """A group whose linear form must be y, x, a line of the pencil through
+    the first scan point (1:0:0) or, with that point in the group, through
+    the next one (1:0:1), or none at all (the fallback)."""
     pts = plane(p)
     if branch == "y":  # z vanishes at (1, 1, 0), y nowhere
         return [q for q in pts if q.coords[1] and q.coords[2]][-3:] + [proj_point(1, 1, 0, p)]
     if branch == "x":  # y and z vanish at (1, 0, 0), x nowhere
         return [q for q in pts if q.coords[0]][:4]
-    if branch == "seeded":  # a point on each coordinate line
+    if branch == "pencil":  # x, y, z each vanish at a point, (1:0:0) is free
+        return [proj_point(0, 1, 0, p), proj_point(0, 0, 1, p)]
+    if branch == "moved":  # a point on each coordinate line, (1:0:0) among them
         return [proj_point(1, 0, 0, p), proj_point(0, 1, 0, p), proj_point(0, 0, 1, p)]
     # every line meets a full line, here z = 0, so no line avoids the group
     return [q for q in pts if q.coords[2] == 0] + [q for q in pts if q.coords[2]][:2]
 
 
+# The pencil's first lines: through b = (1:0:0), the line to c1 = (0:1:0)
+# is z and the line to c0 = (0:0:1) is -y, each through a point of the
+# group, so the line to c0 + c1 = (0:1:1), -y + z, is taken; through
+# b = (1:0:1) the lines to c1 and c0 are -x + z and -y, and the line to
+# (0:1:1) is -x - y + z.
+PENCIL_FORMS = {"pencil": (0, -1, 1), "moved": (-1, -1, 1)}
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
-@pytest.mark.parametrize("branch", ("y", "x", "seeded", "fallback"))
+@pytest.mark.parametrize("branch", ("y", "x", "pencil", "moved", "fallback"))
 def test_each_choice_of_the_linear_form(p, branch):
     Y = point_group(p, forced_group(p, branch))
     form = pointlab._free_line(Y.coords_array(), p)
     if branch == "fallback":
         assert form is None
-    elif branch == "seeded":
-        assert form is not None and form.tolist().count(0) < 2
+    elif branch in PENCIL_FORMS:
+        assert form.tolist() == [c % p for c in PENCIL_FORMS[branch]]
     else:
         assert form.tolist() == {"y": [0, 1, 0], "x": [1, 0, 0]}[branch]
     with counted("rank") as ranks:

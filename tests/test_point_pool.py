@@ -18,8 +18,10 @@ from charseq.constructions import (
     random_smooth_curve,
 )
 from charseq.errors import GeometryError
+from charseq.realize import realize
 from charseq.pointlab import (
     is_singular_point,
+    measure_rcs,
     plane_curve,
     point_pool,
     proj_point,
@@ -90,6 +92,24 @@ def test_random_curves_pool_flags_and_samples(p, d, seed, smooth):
         assert len(usable) < count
     else:
         assert Y.points == tuple(sorted(random.Random(seed).sample(usable, count)))
+
+
+@pytest.mark.parametrize("p, d, seed", [(11, 4, 36), (101, 4, 24), (101, 4, 32), (101, 6, 25)])
+def test_a_small_field_smooth_curve_is_smooth_at_every_rational_point(p, d, seed):
+    # the first draw whose first 16 pool points are smooth is singular
+    # further on; at p <= 101 the pool holds every rational point, and
+    # random_smooth_curve checks them all
+    draws = (random_curve_through(p, d, (), seed * 64 + attempt) for attempt in range(64))
+    prefix = next(
+        c
+        for c in draws
+        if len(point_pool(c, 16)) >= 4 and all(c.pool.smooth[q] for q in point_pool(c, 16)[:16])
+    )
+    assert any(is_singular_point(prefix, q) for q in rational_points(prefix))
+    X = random_smooth_curve(p, d, seed)
+    assert not any(is_singular_point(X, q) for q in rational_points(X))
+    if (p, d) == (101, 4):
+        assert measure_rcs(X, realize(X, (2, 3, 3, 4))).entries == (2, 3, 3, 4)
 
 
 def test_pool_prefixes_do_not_depend_on_growth_order():

@@ -2,6 +2,7 @@
 
 import random
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -495,6 +496,27 @@ def test_intersect_curves_matches_full_scan(quartic_small, quintic_small):
         expected = {q for q in rational_points(X) if H.contains(q)}
         assert set(intersect_curves(X, H)) == expected
     assert set(planted) <= expected
+
+
+def test_intersection_and_measurement_make_no_draw(monkeypatch):
+    # the centre of the sweep and the free line of a Hilbert function come
+    # from a fixed scan of the plane: with every draw in pointlab refused,
+    # a pair through (1:0:0) and a group on each coordinate line, both past
+    # the first choices, still give their answers
+    p = 101
+    planted = (proj_point(1, 0, 0, p), proj_point(1, 0, 1, p))
+    f = constructions.random_curve_through(p, 3, planted, 1)
+    h = constructions.random_curve_through(p, 2, planted, 2)
+    Y = point_group(p, [proj_point(1, 0, 0, p), proj_point(0, 1, 0, p), proj_point(0, 0, 1, p)])
+    expected = {q for q in rational_points(f) if h.contains(q)}
+
+    def refuse(*args):
+        raise AssertionError("pointlab drew a random number")
+
+    monkeypatch.setattr(pointlab, "random", SimpleNamespace(Random=refuse))
+    assert set(intersect_curves(f, h)) == expected
+    assert set(planted) <= expected
+    assert Y.hilbert == (1, 3)
 
 
 def test_section_points_resultant_path(quartic_small):

@@ -1,26 +1,39 @@
 """Differential tests: the pencil-of-lines intersection and the Euclidean
 resultant against the route they replace, kept here as the oracle: a
-symbolic change of coordinates, x-slices and Sylvester determinants."""
+symbolic change of coordinates in random frames, x-slices and Sylvester
+determinants."""
 
 import random
+import time
+from itertools import islice
 from math import comb
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charseq import modlin
+from charseq import modlin, pointlab
 from charseq.constructions import multiply_curves, random_curve_through
 from charseq.errors import CharseqError, DomainError, GeometryError
 from charseq.pointlab import (
     MAX_MODULUS,
     ProjPoint,
-    _random_invertible,
+    _frame,
+    _plane_scan,
     intersect_curves,
     plane_curve,
     proj_point,
     random_proj_point,
 )
+
+
+def random_invertible(rng, p):
+    """A 3x3 matrix over F_p with nonzero determinant, drawn from ``rng``."""
+    while True:
+        mat = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+        if modlin.det(np.array(mat, dtype=np.int64), p) != 0:
+            return mat
 
 
 def substitute_linear(curve, matrix):
@@ -109,7 +122,7 @@ def old_intersect_curves(f, h, seed=0):
     f2, h2 = f, h
     if pure_power_coeff(f, 0) == 0 or pure_power_coeff(h, 0) == 0:
         for _ in range(64):
-            candidate = _random_invertible(rng, p)
+            candidate = random_invertible(rng, p)
             f2 = substitute_linear(f, candidate)
             h2 = substitute_linear(h, candidate)
             if pure_power_coeff(f2, 0) != 0 and pure_power_coeff(h2, 0) != 0:
@@ -162,24 +175,23 @@ def outcome(intersect, *args):
 
 
 THROUGH = {"through (1:0:0)": (1, 0, 0), "through (0:1:0)": (0, 1, 0)}
+FACTOR = {"divisible by y": (0, 1, 0), "divisible by x": (1, 0, 0)}
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    p=st.sampled_from((7, 101, 10007, MAX_MODULUS)),
-    d=st.integers(1, 6),
-    s=st.integers(1, 4),
-    kind=st.sampled_from(("random", *THROUGH, "common component")),
-    planted=st.integers(0, 4),
-    seed=st.integers(0, 10**6),
-)
-def test_intersect_curves_matches_the_coordinate_change(p, d, s, kind, planted, seed):
-    # common points are planted, every other one on z = 0: the line through
-    # the centre (1:0:0) and c1 = (0:1:0), which the sweep reads on its own;
-    # through (1:0:0) the centre moves, and (0:1:0) would be lost by a sweep
-    # centred there
+def first_scan_points(p, d, s, k):
+    """The first k points of the centre scan ``intersect_curves`` makes."""
+    return [proj_point(*v, p) for v in islice(_plane_scan(p, d + s + 1), k)]
+
+
+def planted_pair(p, d, s, kind, planted, seed):
+    """Two curves of degrees d and s of the given kind through common
+    points: random, through one point or the first scan points, with a
+    line factor, or with a common component."""
     rng = random.Random(seed)
-    pts = [proj_point(*THROUGH[kind], p)] if kind in THROUGH else []
+    if kind == "through the first scan points":
+        pts = first_scan_points(p, d, s, 4)
+    else:
+        pts = [proj_point(*THROUGH[kind], p)] if kind in THROUGH else []
     for k in range(planted):
         pts.append(proj_point(rng.randrange(p), 1, 0, p) if k % 2 else random_proj_point(rng, p))
     pts = tuple(dict.fromkeys(pts))[: min(d, s)]  # few enough for distinct curves of each degree
@@ -188,9 +200,35 @@ def test_intersect_curves_matches_the_coordinate_change(p, d, s, kind, planted, 
         common = random_curve_through(p, c, (), seed)
         f = multiply_curves(common, random_curve_through(p, d - c, (), seed + 1)) if d > c else common
         h = multiply_curves(common, random_curve_through(p, s - c, (), seed + 2)) if s > c else common
+        return f, h, ()
+    if kind in FACTOR:
+        # f = line * g: the scan walks past the whole line y = 0 when the
+        # line is y, and never meets x = 0
+        line = plane_curve(p, {FACTOR[kind]: 1})
+        pts = pts[: min(d - 1, s)]
+        f = multiply_curves(line, random_curve_through(p, d - 1, pts, seed + 1)) if d > 1 else line
     else:
         f = random_curve_through(p, d, pts, seed + 1)
-        h = random_curve_through(p, s, pts, seed + 2)
+    return f, random_curve_through(p, s, pts, seed + 2), pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5, 7, 101, 10007, MAX_MODULUS)),
+    d=st.integers(1, 6),
+    s=st.integers(1, 4),
+    kind=st.sampled_from(
+        ("random", *THROUGH, "through the first scan points", *FACTOR, "common component")
+    ),
+    planted=st.integers(0, 4),
+    seed=st.integers(0, 10**6),
+)
+def test_intersect_curves_matches_the_coordinate_change(p, d, s, kind, planted, seed):
+    # common points are planted, every other one on z = 0: the line through
+    # the centre (1:0:0) and c1 = (0:1:0), which the sweep reads on its own;
+    # through (1:0:0) or the first scan points the centre moves, and (0:1:0)
+    # would be lost by a sweep centred there
+    f, h, pts = planted_pair(p, d, s, kind, planted, seed)
     # the common zeros do not depend on the frame: the old route at any
     # seed finds what the sweep from its one fixed frame finds
     got = outcome(intersect_curves, f, h)
@@ -201,6 +239,54 @@ def test_intersect_curves_matches_the_coordinate_change(p, d, s, kind, planted, 
         assert got is GeometryError
     elif isinstance(got, tuple):  # a tiny field can still draw a shared component
         assert set(pts) <= set(got)
+
+
+@pytest.mark.parametrize("kind", FACTOR)
+def test_the_centre_scan_at_the_modulus_bound(kind, monkeypatch):
+    # f * h has degree e = 7 and the curves share the scan's first points,
+    # all on y = 0 and none on x = 0: divisible by y, f holds the scan's
+    # whole first row (1:0:0..e), so the centre is (1:1:b) for some b
+    p, d, s = MAX_MODULUS, 4, 3
+    pts = tuple(first_scan_points(p, d, s, 3))
+    line = plane_curve(p, {FACTOR[kind]: 1})
+    f = multiply_curves(line, random_curve_through(p, d - 1, pts, 6))
+    h = random_curve_through(p, s, pts, 7)
+    centres = set()
+    restrict = pointlab._restrict_to_line
+
+    def recording(curve, a, b):
+        centres.add(proj_point(*b, p))
+        return restrict(curve, a, b)
+
+    monkeypatch.setattr(pointlab, "_restrict_to_line", recording)
+    start = time.perf_counter()
+    got = intersect_curves(f, h)
+    assert time.perf_counter() - start < 1
+    monkeypatch.undo()
+    assert got == old_intersect_curves(f, h)
+    assert set(pts) <= set(got)
+    # the centre is the first scan point off f * h
+    (centre,) = centres
+    scan = first_scan_points(p, d, s, 2 * (d + s + 1))
+    k = scan.index(centre)
+    assert all(f.contains(q) or h.contains(q) for q in scan[:k])
+    assert not (f.contains(centre) or h.contains(centre))
+    assert k >= (d + s + 1 if kind == "divisible by y" else len(pts))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@pytest.mark.parametrize("width", (1, 2, 3, 7))
+def test_the_plane_scan_and_its_frames(p, width):
+    scan = list(_plane_scan(p, width))
+    points = {proj_point(*v, p) for v in scan}
+    assert len(points) == len(scan) == p * min(p, width) + p + 1
+    if width >= p:
+        assert len(points) == p * p + p + 1  # the whole plane
+    for b in scan:
+        c1, c0 = _frame(b)
+        assert sorted(c1) == sorted(c0) == [0, 0, 1]
+        assert modlin.det(np.array([b, c1, c0], dtype=np.int64), p) != 0
+    assert _frame((1, 0, 0)) == ((0, 1, 0), (0, 0, 1))
 
 
 polys = st.lists(st.integers(0, 10**6), min_size=0, max_size=8)

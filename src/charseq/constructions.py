@@ -9,6 +9,7 @@ irrational residual roots, singular members).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -74,6 +75,14 @@ def curves_through(p: int, d: int, points: tuple[ProjPoint, ...]) -> np.ndarray:
     return modlin.kernel_basis(mat, p)
 
 
+KERNEL_DRAWS = 64  # combinations random_curve_through draws before it gives up
+SMOOTH_SAMPLES = 16  # pool points random_smooth_curve checks
+SMOOTH_ATTEMPTS = 64  # curves random_smooth_curve draws before it gives up
+SEXTIC_ATTEMPTS = 200  # configurations sextic_with_marked_sections tries
+SPLIT_LINE_TRIES = 400  # lines split_line and aligned_points_on_curve draw before they give up
+SECTION_ATTEMPTS = 40  # sets of s split lines split_section tries
+
+
 def random_curve_through(
     p: int, d: int, points: tuple[ProjPoint, ...], seed: int
 ) -> PlaneCurve:
@@ -82,17 +91,15 @@ def random_curve_through(
     if basis.shape[0] == 0:
         raise GeometryError(f"no degree-{d} curve passes through all {len(points)} points")
     rng = random.Random(seed)
-    for _ in range(64):
+    for _ in range(KERNEL_DRAWS):
         combo = np.array([rng.randrange(p) for _ in range(basis.shape[0])], dtype=np.int64)
         vec = modlin.matmul(combo, basis, p)
         if np.any(vec):
             return curve_from_vector(p, d, vec)
-    raise GeometryError("could not draw a nonzero curve from the kernel")
-
-
-SMOOTH_SAMPLES = 16  # pool points random_smooth_curve checks
-SPLIT_LINE_TRIES = 400  # lines split_line and aligned_points_on_curve draw before they give up
-SECTION_ATTEMPTS = 40  # sets of s split lines split_section tries
+    raise GeometryError(
+        f"could not draw a nonzero curve from the kernel: all {KERNEL_DRAWS} random "
+        f"combinations of its {basis.shape[0]} basis rows were zero mod {p}"
+    )
 
 
 def random_smooth_curve(p: int, d: int, seed: int) -> PlaneCurve:
@@ -105,12 +112,19 @@ def random_smooth_curve(p: int, d: int, seed: int) -> PlaneCurve:
     smooth irreducible member here; curves with fewer than four rational
     points or a singular one checked are redrawn.
     """
-    for attempt in range(64):
-        curve = random_curve_through(p, d, (), seed * 64 + attempt)
+    few = 0  # curves with fewer than four pool points
+    for attempt in range(SMOOTH_ATTEMPTS):
+        curve = random_curve_through(p, d, (), seed * SMOOTH_ATTEMPTS + attempt)
         pool = point_pool(curve, SMOOTH_SAMPLES)
-        if len(pool) >= 4 and all(curve.pool.smooth[q] for q in pool):
+        if len(pool) < 4:
+            few += 1
+        elif all(curve.pool.smooth[q] for q in pool):
             return curve
-    raise GeometryError(f"no smooth-looking degree-{d} curve found over p={p}")
+    raise GeometryError(
+        f"no smooth-looking degree-{d} curve found over p={p} in {SMOOTH_ATTEMPTS} draws: "
+        f"{few} had fewer than four rational points in their pool and "
+        f"{SMOOTH_ATTEMPTS - few} were singular at one of the up to {SMOOTH_SAMPLES} checked"
+    )
 
 
 def split_line(
@@ -296,21 +310,26 @@ def sextic_with_marked_sections(p: int, seed: int) -> SexticConfig:
     already has five rational roots, and the conic section is pinned to the
     twelve chosen points by the degree count.
     """
-    for attempt in range(200):
+    failures: Counter[str] = Counter()
+    for attempt in range(SEXTIC_ATTEMPTS):
         sub = random.Random(fold_seed(seed, attempt, 977))
         try:
             config = _try_sextic(p, sub)
-        except GeometryError:
-            continue
-        if config is not None:
+        except GeometryError as err:
+            config = str(err)
+        if isinstance(config, SexticConfig):
             return config
-    raise GeometryError("no usable marked sextic found; try another seed")
+        failures[config] += 1
+    tried = "; ".join(f"{why}: {n}" for why, n in failures.most_common())
+    raise GeometryError(
+        f"no usable marked sextic found in {SEXTIC_ATTEMPTS} attempts ({tried}); try another seed"
+    )
 
 
-def _try_sextic(p: int, rng: random.Random) -> SexticConfig | None:
-    # None and a GeometryError end the attempt alike.  A random conic
-    # through 5 random plane points; its rational points are harvested with
-    # random lines
+def _try_sextic(p: int, rng: random.Random) -> SexticConfig | str:
+    # A reason why the attempt failed and a GeometryError end it alike.  A
+    # random conic through 5 random plane points; its rational points are
+    # harvested with random lines
     base_pts = []
     while len(base_pts) < 5:
         q = random_proj_point(rng, p)
@@ -319,33 +338,33 @@ def _try_sextic(p: int, rng: random.Random) -> SexticConfig | None:
     conic = random_curve_through(p, 2, tuple(base_pts), rng.randrange(2**30))
     conic_pool = point_pool(conic, 40)
     if len(conic_pool) < 14:
-        return None
+        return "conic with fewer than 14 rational points found"
     conic_pts = sorted(random.Random(rng.randrange(2**30)).sample(sorted(conic_pool), 12))
 
     line_anchor = (random_proj_point(rng, p), random_proj_point(rng, p))
     if line_anchor[0] == line_anchor[1]:
-        return None
+        return "line anchored twice at one point"
     line = line_through(p, *line_anchor)
     idx = random.Random(rng.randrange(2**30)).sample(range(p + 1), 5)
     line_pts = sorted(line_point(*line_anchor, t, p) for t in idx)
     if any(conic.contains(q) for q in line_pts) or any(line.contains(q) for q in conic_pts):
-        return None
+        return "marked point on both the line and the conic"
 
     through = tuple(conic_pts) + tuple(line_pts)
     sextic = random_curve_through(p, 6, through, rng.randrange(2**30))
 
     # the conic and line must not divide the sextic
     if all(sextic.contains(q) for q in conic_pool[:14]):
-        return None
+        return "conic inside the sextic"
     full_line_pts = line_points_on_curve(sextic, *line_anchor)
     if len(full_line_pts) != 6:
-        return None
+        return "line section not six rational points"
 
     # conic section must be exactly the twelve chosen points, all smooth
     section = intersect_curves(sextic, conic)
     if sorted(section) != sorted(conic_pts):
-        return None
+        return "conic section not the twelve marked points"
     special = set(full_line_pts) | set(conic_pts)
     if any(is_singular_point(sextic, q) for q in special):
-        return None
+        return "sextic singular at a marked point"
     return SexticConfig(sextic, full_line_pts, tuple(sorted(conic_pts)))

@@ -23,20 +23,27 @@ def as_matrix(rows, p: int) -> np.ndarray:
     return np.mod(a, p)
 
 
-def rref(matrix, p: int) -> tuple[np.ndarray, list[int]]:
+def rref(matrix, p: int, max_rank: int | None = None) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns, first-nonzero pivoting.
 
     Each pivot clears its column with one rank-1 update of the whole matrix;
     the pivot row's own factor is zeroed, so it is left as it is.  The
     update is exact in int64: a residue minus a product of two residues
     stays within (p - 1)^2 + p < 2^63 for p <= MAX_MODULUS.
+
+    A caller that knows the rank is at most ``max_rank`` may pass it, and
+    the column scan stops once it has found that many pivots.  The result
+    is the same: the rank is then reached, so every row below the pivot
+    rows lies in their span; it is zero at every pivot column, so it is
+    zero, and the columns left hold no pivot and change no row.
     """
     a = as_matrix(matrix, p).copy()
     nrows, ncols = a.shape
+    stop = nrows if max_rank is None else min(nrows, max_rank)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        if r == nrows:
+        if r == stop:
             break
         nz = a[r:, c].nonzero()[0]
         if nz.size == 0:

@@ -315,16 +315,32 @@ def _nested_spans(coords: np.ndarray, form: np.ndarray, p: int) -> Iterator[int]
     what is left the number of new dimensions; no earlier row is kept.  A
     zero column never holds a pivot, so each level's pivot columns are
     dropped: level l + 1 eliminates only the |Y| - phi(l) columns left.
+
+    Two multipliers suffice.  Take k with L_k != 0, here the last nonzero
+    coordinate of L (for L = z, v_k is 1).  As L(v) = 1,
+    L_k * v_k * r = r - sum over j != k of L_j * v_j * r, and r reduces to
+    zero against level l's rows, so the reduced v_k * r lies in the span of
+    the other two reduced products: the rows span the same space, which
+    has the same reduced echelon form and pivots.
+
+    Each level's rank is bounded by Macaulay.  The new dimensions count
+    h(l) = phi(l) - phi(l - 1), the Hilbert function of R/(I_Y + L): L
+    vanishes at no point of Y, so it is a nonzerodivisor on R/I_Y, and the
+    quotient is a graded quotient of a polynomial ring in two variables.
+    There h(l) <= l + 1, and Macaulay's bound h(l)^<l> gives
+    h(l + 1) <= h(l) + [h(l) = l + 1], so ``modlin.rref`` stops its column
+    scan at that many pivots.
     """
     inverse = np.array([pow(int(w), -1, p) for w in modlin.matmul(coords, form, p)], dtype=np.int64)
-    v = coords * inverse.reshape(-1, 1) % p
-    value = 0
+    v = np.delete(coords, np.flatnonzero(form)[-1], axis=1) * inverse.reshape(-1, 1) % p
+    value, bound = 0, 1
     candidates = np.ones((1, len(v)), dtype=np.int64)  # S_0 = span(1)
-    while True:
-        reduced, pivots = modlin.rref(candidates, p)
+    for l in count():
+        reduced, pivots = modlin.rref(candidates, p, bound)
         reduced = reduced[: len(pivots)]
         value += len(pivots)
         yield value
+        bound = len(pivots) + (len(pivots) == l + 1)
         free = np.ones(len(v), dtype=bool)
         free[pivots] = False
         candidates = (v.T[:, None, :] * reduced[None, :, :] % p).reshape(-1, len(v))
@@ -467,16 +483,27 @@ class PointPool:
 
     ``smooth`` maps each point, in the order found, to whether the curve is
     smooth there, decided once as the point joins; ``lines`` counts the
-    sampling lines drawn.
+    sampling lines drawn; ``sorted_smooth`` holds sorted prefixes.
     """
 
     smooth: dict[ProjPoint, bool] = field(default_factory=dict)
     lines: int = 0
+    _sorted: dict[int, tuple[ProjPoint, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def add(self, curve: PlaneCurve, pts: Iterable[ProjPoint]) -> None:
         for q in pts:
             if q not in self.smooth:
                 self.smooth[q] = not is_singular_point(curve, q)
+
+    def sorted_smooth(self, n: int) -> tuple[ProjPoint, ...]:
+        """The smooth points among the first n, sorted; held per n, as the
+        pool only grows at its end, so a prefix never changes."""
+        if n not in self._sorted:
+            smooth = (q for q in islice(self.smooth, n) if self.smooth[q])
+            self._sorted[n] = tuple(sorted(smooth, key=attrgetter("coords")))
+        return self._sorted[n]
 
 
 def line_point(a: ProjPoint, b: ProjPoint, t: int, p: int) -> ProjPoint:
@@ -621,8 +648,7 @@ def random_points_on_curve(
         return point_group(curve.p, (), curve)
     pool = point_pool(curve, max(4 * count, 64))
     banned = set(avoid)
-    ordered = sorted(pool, key=attrgetter("coords"))
-    usable = [q for q in ordered if q not in banned and curve.pool.smooth[q]]
+    usable = [q for q in curve.pool.sorted_smooth(len(pool)) if q not in banned]
     if len(usable) < count:
         lines = curve.pool.lines
         source = "a full scan" if curve.p <= SMALL_FIELD_SCAN else f"{lines} sampling lines"

@@ -405,6 +405,47 @@ def test_aligned_points_exhaustion_says_what_it_tried(monkeypatch):
         aligned_points_on_curve(lines, 2, seed=0)
 
 
+def test_smooth_curve_exhaustion_counts_each_failure():
+    # over F_2 a smooth conic has three rational points and every conic
+    # with four or more is singular at one, so each of the 64 draws fails
+    draws = [random_curve_through(2, 2, (), attempt) for attempt in range(64)]
+    few = sum(len(rational_points(c)) < 4 for c in draws)
+    assert 0 < few < 64
+    message = (
+        f"no smooth-looking degree-2 curve found over p=2 in 64 draws: {few} had fewer than "
+        f"four rational points in their pool and {64 - few} were singular at one of the up to 16 checked"
+    )
+    with pytest.raises(GeometryError, match=message):
+        constructions.random_smooth_curve(2, 2, seed=0)
+
+
+def test_kernel_draw_exhaustion_says_what_it_drew(monkeypatch):
+    monkeypatch.setattr(modlin, "matmul", lambda a, b, p: np.zeros(b.shape[1], dtype=np.int64))
+    message = (
+        "could not draw a nonzero curve from the kernel: all 64 random combinations "
+        "of its 6 basis rows were zero mod 101"
+    )
+    with pytest.raises(GeometryError, match=message):
+        random_curve_through(101, 2, (), seed=0)
+
+
+def test_marked_sextic_exhaustion_counts_each_failure(monkeypatch):
+    attempts = iter(range(200))
+
+    def failing(p, rng):
+        if next(attempts) % 4 == 0:
+            raise GeometryError("improper intersection: the curves share a component")
+        return "line section not six rational points"
+
+    monkeypatch.setattr(constructions, "_try_sextic", failing)
+    message = (
+        r"no usable marked sextic found in 200 attempts \(line section not six rational points: "
+        r"150; improper intersection: the curves share a component: 50\); try another seed"
+    )
+    with pytest.raises(GeometryError, match=message):
+        constructions.sextic_with_marked_sections(10007, seed=0)
+
+
 def nodal_cubic(p):
     """y^2 z = x^3 + x^2 z, singular at (0:0:1)."""
     return plane_curve(p, {(0, 2, 1): 1, (3, 0, 0): -1, (2, 0, 1): -1})

@@ -2,6 +2,8 @@
 two measurements read from it, against the rank scans they replaced,
 which are written out here as oracles."""
 
+import hashlib
+import json
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import product
@@ -19,6 +21,7 @@ from charseq.constructions import (
     split_section,
 )
 from charseq.errors import GeometryError
+from charseq.macaulay import macaulay_next
 from charseq.pointlab import (
     MAX_MODULUS,
     PointGroup,
@@ -154,8 +157,10 @@ def test_hilbert_is_the_rank_scan_up_to_saturation(case):
 
 
 def nested_spans_full_width(coords, form, p):
-    """``pointlab._nested_spans`` before it dropped pivot columns: every
-    level eliminates all |Y| columns."""
+    """``pointlab._nested_spans`` before it dropped pivot columns, a
+    multiplier and the column scan past Macaulay's bound: level l + 1
+    eliminates the multiples of each new row by all three coordinates, in
+    all |Y| columns, and every column is scanned."""
     n = coords.shape[0]
     inverse = np.array([pow(int(w), -1, p) for w in modlin.matmul(coords, form, p)], dtype=np.int64)
     v = coords * inverse.reshape(-1, 1) % p
@@ -187,15 +192,93 @@ def full_width_hilbert(Y):
     return tuple(spans_up_to(nested_spans_full_width(coords, form, Y.p), Y.size))
 
 
-@settings(max_examples=60, deadline=None)
-@given(groups(max_degree=8, max_size=40))
-def test_narrowed_elimination_matches_the_full_width_one(case):
-    _, Y = case
+@contextmanager
+def recorded_rrefs():
+    """Each ``modlin.rref`` call inside the block, as its rank bound, its
+    pivot rows and its pivots."""
+    calls = []
+    original = modlin.rref
+
+    def recording(matrix, p, max_rank=None):
+        reduced, pivots = original(matrix, p, max_rank)
+        calls.append((max_rank, reduced[: len(pivots)], pivots))
+        return reduced, pivots
+
+    modlin.rref = recording
+    try:
+        yield calls
+    finally:
+        modlin.rref = original
+
+
+@st.composite
+def any_groups(draw):
+    """A point group over any field the measurement serves: on a curve at
+    p = 101 or 10007, any subset of the plane at p <= 7, a group that
+    forces a form of the pencil (not a coordinate), or a plane group at
+    MAX_MODULUS with up to three points on the coordinate lines, which
+    move its form off z, then off y and x."""
+    kind = draw(st.sampled_from(("curve", "small", "forced", "modulus")))
+    if kind == "curve":
+        return draw(groups(max_degree=8, max_size=40))[1]
+    if kind in ("small", "forced"):
+        p = draw(st.sampled_from((2, 3, 5, 7)))
+        if kind == "forced":
+            return point_group(p, forced_group(p, draw(st.sampled_from(("pencil", "moved")))))
+        pts = plane(p)
+        return point_group(p, draw(st.lists(st.sampled_from(pts), unique=True, max_size=len(pts))))
+    p = MAX_MODULUS
+    style = draw(st.sampled_from(("generic", "aligned", "conic")))
+    seed = draw(st.integers(0, 10**6))
+    Y = verify._plane_group(p, draw(st.integers(1, 30)), style, seed)
+    s = seed + 1
+    on_lines = [proj_point(s, 1, 0, p), proj_point(0, s, 1, p), proj_point(s, 0, 1, p)]
+    extra = [q for q in on_lines[: draw(st.integers(0, 3))] if q not in Y.points]
+    return point_group(p, Y.points[len(extra) :] + tuple(extra))
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_groups())
+def test_narrowed_elimination_matches_the_full_width_one(Y):
+    # level by level: the same value, the same pivots, and the same pivot
+    # rows on the columns still free
     coords = Y.coords_array()
     form = pointlab._free_line(coords, Y.p)
     assume(form is not None)
-    narrowed = spans_up_to(pointlab._nested_spans(coords, form, Y.p), Y.size)
-    assert narrowed == spans_up_to(nested_spans_full_width(coords, form, Y.p), Y.size)
+    with recorded_rrefs() as narrowed:
+        values = spans_up_to(pointlab._nested_spans(coords, form, Y.p), Y.size)
+    with recorded_rrefs() as full:
+        assert values == spans_up_to(nested_spans_full_width(coords, form, Y.p), Y.size)
+    assert len(narrowed) == len(full) == len(values)
+    free = list(range(Y.size))
+    for (_, rows, pivots), (_, full_rows, full_pivots) in zip(narrowed, full):
+        assert [free[c] for c in pivots] == full_pivots
+        assert np.array_equal(rows, full_rows[:, free])
+        free = [c for c in free if c not in full_pivots]
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_groups())
+def test_each_level_keeps_to_macaulays_bound(Y):
+    # h = the first differences of phi, from the rank scan: the Hilbert
+    # function of an Artinian reduction, a quotient of a ring in two
+    # variables, so h(l + 1) <= h(l) + [h(l) = l + 1]; the elimination
+    # passes exactly that bound to each level's rref
+    values = scan_hilbert(Y)
+    h = [b - a for a, b in zip((0,) + values, values)]
+    bounds = [1] + [k + (k == l + 1) for l, k in enumerate(h[:-1])]
+    assert all(k <= bound for k, bound in zip(h, bounds))
+    form = pointlab._free_line(Y.coords_array(), Y.p)
+    assume(form is not None)
+    with recorded_rrefs() as calls:
+        spans_up_to(pointlab._nested_spans(Y.coords_array(), form, Y.p), Y.size)
+    assert [bound for bound, _, _ in calls] == bounds
+
+
+def test_the_level_bound_is_macaulays_next_value():
+    for l in range(1, 40):
+        for h in range(1, l + 2):
+            assert macaulay_next(h, l) == h + (h == l + 1)
 
 
 @pytest.mark.parametrize(
@@ -210,6 +293,39 @@ def test_measure_grid_shapes_match_the_full_width_elimination(d, size):
     assert Y.hilbert == values
     l = d - 3
     assert dim_linear_system(X, Y) == size - (values[l] if l < len(values) else size)
+
+
+def split_lines_group(X, lines):
+    """The points of X on ``lines`` fully split lines: X meets their product
+    in a complete intersection, whose Hilbert function climbs, stays and
+    falls."""
+    pts, seed = (), 0
+    while len(pts) < lines * X.degree:
+        pts += split_line(X, seed, avoid=frozenset(pts))[1]
+        seed += 1
+    return point_group(X.p, pts, X)
+
+
+# The sha256 of the measurements in the test below, as the elimination with
+# three multipliers per row and no rank bound computed them.
+LARGE_GROUPS_SHA256 = "4025bc36c1576904b7ff86207482efeedb64e17fa387449c40a98d703fe2e514"
+
+
+def test_large_group_measurements_are_unchanged():
+    # the benchmark's measure grid at p = 10007, one generic group of each
+    # size, and three complete intersections with lines
+    grid = ((4, (40, 70, 120)), (6, (60, 140, 160)), (8, (60, 130, 180)))
+    cases = [(curve(10007, d, 0), n) for d, sizes in grid for n in sizes]
+    cases = [(X, random_points_on_curve(X, n, seed=n)) for X, n in cases]
+    for d, lines in ((4, 10), (4, 15), (6, 10)):
+        X = curve(10007, d, 0)
+        cases.append((X, split_lines_group(X, lines)))
+    rows = []
+    for X, Y in cases:
+        seq = measure_abs(Y)
+        rel = measure_rcs(X, Y).entries
+        rows.append([X.degree, Y.size, list(rel), list(seq.entries), seq.cone_dim, dim_linear_system(X, Y)])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == LARGE_GROUPS_SHA256
 
 
 def bigint_phi(Y, l):
@@ -325,9 +441,9 @@ def counted(name):
     shapes = []
     original = getattr(modlin, name)
 
-    def counting(matrix, p):
+    def counting(matrix, p, *bound):
         shapes.append(matrix.shape)
-        return original(matrix, p)
+        return original(matrix, p, *bound)
 
     setattr(modlin, name, counting)
     try:
@@ -345,11 +461,11 @@ def test_measure_rcs_then_measure_abs_run_one_elimination(case):
         measure_abs(Y)  # codim reads phi_Y(1)
     assert ranks == []
     # level 0 eliminates the constant 1 in all |Y| columns; level l + 1 the
-    # multiples of each vector new at level l by the three coordinates, in
-    # the |Y| - phi(l) columns that hold no pivot yet
+    # multiples of each vector new at level l by two of the three scaled
+    # coordinates, in the |Y| - phi(l) columns that hold no pivot yet
     values = Y.hilbert
     new = [b - a for a, b in zip((0,) + values, values)]
-    assert rrefs == [(1, Y.size)] + [(3 * k, Y.size - v) for k, v in zip(new[:-1], values[:-1])]
+    assert rrefs == [(1, Y.size)] + [(2 * k, Y.size - v) for k, v in zip(new[:-1], values[:-1])]
 
 
 def test_a_scan_short_of_the_group_degree_raises(monkeypatch):
@@ -359,8 +475,8 @@ def test_a_scan_short_of_the_group_degree_raises(monkeypatch):
     Y = random_points_on_curve(X, 9, seed=2)
     rref = modlin.rref
 
-    def dropping(matrix, p):
-        reduced, pivots = rref(matrix, p)
+    def dropping(matrix, p, *bound):
+        reduced, pivots = rref(matrix, p, *bound)
         return reduced, pivots[:-1]
 
     monkeypatch.setattr(modlin, "rref", dropping)

@@ -124,6 +124,20 @@ def test_pool_prefixes_do_not_depend_on_growth_order():
     assert fresh.pool.lines == grown.pool.lines
 
 
+def test_sorted_smooth_prefixes_are_held_as_the_pool_grows():
+    p = 10007
+    X = nodal_cubic(p)
+    n = len(point_pool(X, 20))
+    X.pool.add(X, [proj_point(0, 0, 1, p)])  # the node joins the pool
+    held = X.pool.sorted_smooth(n)
+    point_pool(X, 300)
+    assert X.pool.sorted_smooth(n) is held
+    for size in (n, 300, len(X.pool.smooth)):
+        prefix = tuple(X.pool.smooth)[:size]
+        expected = tuple(sorted(q for q in prefix if not is_singular_point(X, q)))
+        assert X.pool.sorted_smooth(size) == expected
+
+
 def test_smoothness_is_decided_once(monkeypatch):
     X = nodal_cubic(10007)
     first = random_points_on_curve(X, 5, seed=3)

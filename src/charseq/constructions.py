@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -26,10 +25,8 @@ from .pointlab import (
     evaluation_matrix,
     intersect_curves,
     is_singular_point,
-    line_coefficients,
     line_point,
     line_points_on_curve,
-    meets_transversally,
     monomial_basis,
     multiply_curves,
     plane_curve,
@@ -133,9 +130,15 @@ def split_line(
     """A line meeting X in deg(X) distinct smooth rational points, none in ``avoid``.
 
     Random lines through two rational points of X are redrawn until the
-    residual degree splits completely over the field.  For p <= SMALL_FIELD_SCAN
-    each line's points are read from the curve's exact table of d-point
-    lines (``PlaneCurve.split_lines``), and an empty table raises at once.
+    residual degree splits completely over the field; a line lying on X is
+    no section and is skipped.  For p <= SMALL_FIELD_SCAN a curve with no
+    line through exactly deg(X) of its rational points
+    (``PlaneCurve.split_lines``) raises at once, and for deg(X) <= p each
+    line's points are read from that table: a line on X holds p + 1 > deg(X)
+    of them, so no table line is a component.  The points returned are every
+    rational point of X on the line, and each is simple (smooth on X, with
+    a tangent other than the line): the line is no component, so its deg(X)
+    distinct meetings exhaust Bezout's total deg(X).
     """
     d = X.degree
     pool = X.smooth_pool
@@ -148,29 +151,28 @@ def split_line(
             f"{table.lines} distinct lines through pairs of its {table.points} rational "
             f"points holds exactly {d} of them"
         )
+    if d > X.p:
+        table = None  # a line on X may hold exactly d = p + 1 rational points
     rng = random.Random(seed)
-    lines = set()
+    lines, components = set(), set()
     for _ in range(SPLIT_LINE_TRIES):
         a, b = rng.sample(pool, 2)
         line_key = proj_point(*cross(a.coords, b.coords, X.p), X.p)
         lines.add(line_key)
-        pts = line_points_on_curve(X, a, b) if table is None else table.split.get(line_key, ())
-        if len(pts) != d:
-            continue
-        if any(q in avoid for q in pts):
-            continue
-        line = line_through(X.p, a, b)
-        # simple points only: no tangency and no singular point on the line.
-        # For d <= p the line is no component (that holds p + 1 > d points),
-        # so by Bezout its d distinct meetings are simple and the test cannot
-        # fail; for d > p a component line can hold exactly d = p + 1 points.
-        if d > X.p and not meets_transversally(X, line, pts):
-            continue
-        return line, pts
+        if table is not None:
+            pts = table.split.get(line_key, ())
+        else:
+            try:
+                pts = line_points_on_curve(X, a, b)
+            except GeometryError:
+                components.add(line_key)
+                continue
+        if len(pts) == d and not any(q in avoid for q in pts):
+            return line_through(X.p, a, b), pts
     raise GeometryError(
         f"no fully split line found on this degree-{d} curve in {SPLIT_LINE_TRIES} tries: "
-        f"{len(lines)} distinct lines through pairs of its {len(pool)} smooth pool points; "
-        "try another seed"
+        f"{len(lines)} distinct lines through pairs of its {len(pool)} smooth pool points, "
+        f"{len(components)} of them lying on the curve; try another seed"
     )
 
 
@@ -179,12 +181,17 @@ def split_section(
 ) -> tuple[PlaneCurve, tuple[ProjPoint, ...]]:
     """A degree-s curve H meeting X transversally in s*deg(X) rational points.
 
-    Built as a union of s fully split lines whose mutual crossings stay off
-    X, which keeps the section reduced.  Returns (H, section points).
+    H is the product of s fully split lines (``split_line``), each drawn off
+    the points of the lines before it.  Returns (H, section points).  No two
+    of the lines cross on X: they cross at a rational point, and were it on
+    X it would be one of the first line's deg(X) points, since
+    ``split_line`` returns every rational point of X on its line.  Those
+    points are banned when the second line is drawn, and the second line's
+    points would include the crossing, so it would have been rejected.
     """
     if s < 1:
         raise GeometryError("section degree must be >= 1")
-    short = 0  # attempts in which split_line ran out of lines
+    best = 0  # the most split lines one attempt drew
     for attempt in range(SECTION_ATTEMPTS):
         rng = random.Random(fold_seed(seed, attempt, 71))
         banned = set(avoid)
@@ -200,31 +207,21 @@ def split_section(
             lines.append(line)
             points.extend(pts)
             banned.update(pts)
-        if len(lines) < s:
-            short += 1
-        elif not _lines_cross_on_curve(X, lines):
+        if len(lines) == s:
             H = lines[0]
             for line in lines[1:]:
                 H = multiply_curves(H, line)
             return H, tuple(sorted(points))
+        best = max(best, len(lines))
     raise GeometryError(
-        f"no transverse degree-{s} section found in {SECTION_ATTEMPTS} attempts: {short} found "
-        f"too few split lines and {SECTION_ATTEMPTS - short} had two lines crossing on the "
-        "curve; try another seed"
-    )
-
-
-def _lines_cross_on_curve(X: PlaneCurve, lines) -> bool:
-    """Whether two of the distinct lines cross at a point of X; two lines
-    cross at the cross product of their coefficient vectors."""
-    return any(
-        X.contains(proj_point(*cross(line_coefficients(a), line_coefficients(b), X.p), X.p))
-        for a, b in combinations(lines, 2)
+        f"no transverse degree-{s} section found in {SECTION_ATTEMPTS} attempts: the best drew "
+        f"{best} of its {s} split lines off the points of the others; try another seed"
     )
 
 
 def aligned_points_on_curve(X: PlaneCurve, k: int, seed: int) -> tuple[ProjPoint, ...]:
-    """k distinct smooth rational collinear points of X."""
+    """k distinct smooth rational collinear points of X, on a drawn line
+    through two of its rational points; a line lying on X is skipped."""
     d = X.degree
     if k > d:
         raise GeometryError(f"a line meets a degree-{d} curve in at most {d} points")
@@ -232,18 +229,23 @@ def aligned_points_on_curve(X: PlaneCurve, k: int, seed: int) -> tuple[ProjPoint
     if len(pool) < 2:
         raise GeometryError("not enough smooth rational points to anchor a line")
     rng = random.Random(seed)
-    lines, best = set(), 0
+    lines, components, best = set(), set(), 0
     for _ in range(SPLIT_LINE_TRIES):
         a, b = rng.sample(pool, 2)
-        lines.add(proj_point(*cross(a.coords, b.coords, X.p), X.p))
-        pts = [q for q in line_points_on_curve(X, a, b) if not is_singular_point(X, q)]
+        line_key = proj_point(*cross(a.coords, b.coords, X.p), X.p)
+        lines.add(line_key)
+        try:
+            pts = [q for q in line_points_on_curve(X, a, b) if not is_singular_point(X, q)]
+        except GeometryError:
+            components.add(line_key)
+            continue
         if len(pts) >= k:
             return tuple(sorted(rng.sample(pts, k)))
         best = max(best, len(pts))
     raise GeometryError(
         f"no line with {k} smooth rational curve points found in {SPLIT_LINE_TRIES} tries: "
         f"{len(lines)} distinct lines through pairs of its {len(pool)} smooth pool points "
-        f"held at most {best}"
+        f"held at most {best}, not counting {len(components)} that lay on the curve"
     )
 
 

@@ -223,15 +223,6 @@ def is_singular_point(curve: PlaneCurve, q: ProjPoint) -> bool:
     return gradient_at(curve, q) == (0, 0, 0)
 
 
-def meets_transversally(X: PlaneCurve, H: PlaneCurve, pts: Iterable[ProjPoint]) -> bool:
-    """Whether X and H cross with distinct tangents at every point of ``pts``.
-
-    The gradients are dependent exactly at a tangency or at a singular
-    point of either curve, where one gradient is zero.
-    """
-    return all(any(cross(gradient_at(X, q), gradient_at(H, q), X.p)) for q in pts)
-
-
 @dataclass(frozen=True)
 class PointGroup:
     """A reduced set of distinct projective points, optionally on a curve."""
@@ -551,15 +542,16 @@ def line_points_on_curve(curve: PlaneCurve, a: ProjPoint, b: ProjPoint) -> tuple
     """All rational points of the curve on the line through a and b (exact).
 
     They are the field roots t of the restriction F(a + t*b), and b when
-    its top coefficient F(b) vanishes.  Only a line lying on the curve,
-    where the restriction is identically zero, is enumerated point by point.
+    its top coefficient F(b) vanishes: at most deg(F) points, at a cost
+    independent of p.  A line lying on the curve, where the restriction is
+    identically zero, is no section and raises GeometryError.
     """
     p = curve.p
     if not any(cross(a.coords, b.coords, p)):
         raise DomainError("a line needs two distinct points")
     g = _restrict_to_line(curve, a.coords, b.coords)
     if not any(g):
-        return tuple(sorted(line_point(a, b, t, p) for t in range(p + 1)))
+        raise GeometryError("improper intersection: the line lies on the curve")
     pts = [line_point(a, b, t, p) for t in modlin.poly_roots(g, p)]
     if g[-1] == 0:
         pts.append(b)
@@ -634,7 +626,10 @@ def point_pool(curve: PlaneCurve, size: int) -> tuple[ProjPoint, ...]:
         a = random_proj_point(rng, curve.p)
         b = random_proj_point(rng, curve.p)
         if any(cross(a.coords, b.coords, curve.p)):
-            pool.add(curve, line_points_on_curve(curve, a, b))
+            try:
+                pool.add(curve, line_points_on_curve(curve, a, b))
+            except GeometryError:
+                pass  # a line on the curve is no section
     return tuple(islice(pool.smooth, size))
 
 
@@ -735,10 +730,14 @@ def intersect_curves(f: PlaneCurve, h: PlaneCurve) -> tuple[ProjPoint, ...]:
 def section_points(X: PlaneCurve, H: PlaneCurve, require_transverse: bool = True) -> PointGroup:
     """The rational points of X cut out by the hypersurface H.
 
-    With ``require_transverse`` the section must consist of exactly
-    deg(X)*deg(H) simple rational points; anything less (tangency, a
-    singular point, irrational intersection points) raises GeometryError
-    and the caller should re-randomize H.
+    X and H sharing a component raises GeometryError, on either route.  With
+    ``require_transverse`` the section must consist of exactly
+    deg(X)*deg(H) rational points; anything less (tangency, a singular
+    point, irrational intersection points) raises GeometryError and the
+    caller should re-randomize H.  That count is the whole test: with no
+    shared component, the intersection multiplicities sum to deg(X)*deg(H)
+    (Bezout), so deg(X)*deg(H) distinct meetings each have multiplicity 1,
+    which holds exactly where both curves are smooth with distinct tangents.
     """
     if X.p != H.p:
         raise DomainError("section curve lives over a different field")
@@ -748,19 +747,14 @@ def section_points(X: PlaneCurve, H: PlaneCurve, require_transverse: bool = True
         a = proj_point(*(int(v) for v in basis[0]), p)
         b = proj_point(*(int(v) for v in basis[1]), p)
         pts = line_points_on_curve(X, a, b)
-        if len(pts) == p + 1:
-            raise GeometryError("improper intersection: the line lies on the curve")
     else:
         pts = intersect_curves(X, H)
-    if require_transverse:
-        expected = X.degree * H.degree
-        if len(pts) != expected:
-            raise GeometryError(
-                f"non-transverse or irrational intersection: found {len(pts)} rational "
-                f"points, expected {expected}"
-            )
-        if not meets_transversally(X, H, pts):
-            raise GeometryError("non-transverse or irrational intersection: tangency")
+    expected = X.degree * H.degree
+    if require_transverse and len(pts) != expected:
+        raise GeometryError(
+            f"non-transverse or irrational intersection: found {len(pts)} rational "
+            f"points, expected {expected}"
+        )
     return point_group(p, pts, X)
 
 

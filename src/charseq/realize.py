@@ -107,7 +107,7 @@ def _section_through(X: PlaneCurve, t: int, forms: np.ndarray) -> tuple[ProjPoin
             g = curve_from_vector(X.p, t, row)
             return section_points(X, g, require_transverse=False).points
         except GeometryError:
-            continue  # zero vector, or a form sharing a component with X
+            continue  # a form sharing a component with X
     return tuple(sorted(point_pool(X, 600)))
 
 

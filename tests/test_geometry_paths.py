@@ -9,11 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from charseq import constructions, modlin
+from charseq import constructions, modlin, pointlab
 from charseq.constructions import (
-    _lines_cross_on_curve,
     aligned_points_on_curve,
     curves_through,
+    fermat_curve,
     line_through,
     multiply_curves,
     random_curve_through,
@@ -34,7 +34,6 @@ from charseq.pointlab import (
     line_coefficients,
     line_point,
     line_points_on_curve,
-    meets_transversally,
     monomial_basis,
     plane_curve,
     point_pool,
@@ -110,8 +109,26 @@ big_curves = st.builds(
 )
 
 
-def make_line(abc):
-    return plane_curve(P, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), abc)))
+def make_line(abc, p=P):
+    return plane_curve(p, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), abc)))
+
+
+def meets_transversally(X, H, pts):
+    """Whether X and H cross with distinct tangents at every point of ``pts``:
+    the gradients are dependent exactly at a tangency or at a singular
+    point of either curve, where one gradient is zero.  The oracle for the
+    Bezout count that ``section_points`` and ``split_line`` rely on."""
+    return all(any(cross(gradient_at(X, q), gradient_at(H, q), X.p)) for q in pts)
+
+
+def lines_cross_on_curve(X, lines):
+    """Whether two of the distinct lines cross at a point of X; two lines
+    cross at the cross product of their coefficient vectors.  The oracle
+    for ``split_section``'s proof that its lines never do."""
+    return any(
+        X.contains(proj_point(*cross(line_coefficients(a), line_coefficients(b), X.p), X.p))
+        for a, b in combinations(lines, 2)
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,6 +196,64 @@ def test_line_component_raises_on_the_big_field():
         section_points(multiply_curves(line, cubic), line, require_transverse=False)
 
 
+def test_a_line_holding_p_plus_1_points_can_be_a_transverse_section():
+    # X = xy(x + y) + z^3 over F_2 meets z = 0 in all 3 = p + 1 of its
+    # points, where xy(x + y) = 0; the line is no component, and X is
+    # smooth at each of them with a tangent other than z = 0
+    p = 2
+    X = plane_curve(p, {(2, 1, 0): 1, (1, 2, 0): 1, (0, 0, 3): 1})
+    z = make_line((0, 0, 1), p)
+    expected = tuple(sorted(proj_point(*v, p) for v in ((1, 0, 0), (0, 1, 0), (1, 1, 0))))
+    assert meets_transversally(X, z, expected)
+    for transverse in (True, False):
+        assert section_points(X, z, require_transverse=transverse).points == expected
+
+
+@pytest.mark.parametrize("p", [P, 10007, MAX_MODULUS])
+def test_no_line_is_walked(p, monkeypatch):
+    # a line section builds one point per root of a restriction of degree
+    # deg(X), and b: at most deg(X) + 1 points, where a walk of a line on
+    # the curve would build p + 1
+    left = [0]
+
+    def build(*args):
+        left[0] -= 1
+        assert left[0] >= 0, "a line section built more points than its degree allows"
+        return line_point(*args)
+
+    def section(curve, a, b):
+        left[0] = curve.degree + 1
+        return line_points_on_curve(curve, a, b)
+
+    monkeypatch.setattr(pointlab, "line_point", build)
+    for module in (pointlab, constructions):
+        monkeypatch.setattr(module, "line_points_on_curve", section)
+    L = make_line((1, 2, 3), p)
+    X = multiply_curves(L, fermat_curve(p, 3))
+    with pytest.raises(GeometryError, match="lies on the curve"):
+        section(X, *[q for q in X.smooth_pool if L.contains(q)][:2])
+    for transverse in (True, False):
+        with pytest.raises(GeometryError, match="lies on the curve"):
+            section_points(X, L, require_transverse=transverse)
+    line, pts = split_line(X, seed=1)
+    assert len(pts) == 4 and line_coefficients(line) != line_coefficients(L)
+    assert len(aligned_points_on_curve(X, 4, seed=1)) == 4
+
+
+@pytest.mark.parametrize("p", [103, 10007])
+def test_exhaustion_counts_the_lines_on_the_curve(p):
+    # X = L * (x^2 + y^2) with p = 3 (mod 4): the conic's one rational point
+    # (0:0:1) is off L and singular on X, so every smooth point lies on L
+    # and every line drawn through two of them is L itself
+    L = make_line((1, 2, 3), p)
+    X = multiply_curves(L, plane_curve(p, {(2, 0, 0): 1, (0, 2, 0): 1}))
+    drawn = f"in 400 tries: 1 distinct lines through pairs of its {len(X.smooth_pool)} smooth pool points"
+    with pytest.raises(GeometryError, match=f"{drawn}, 1 of them lying on the curve"):
+        split_line(X, seed=0)
+    with pytest.raises(GeometryError, match=f"{drawn} held at most 0, not counting 1 that lay on the curve"):
+        aligned_points_on_curve(X, 2, seed=0)
+
+
 def scan_line_points(curve, a, b):
     """The full scan that root finding replaced: the curve at all p+1 line points."""
     p = curve.p
@@ -206,10 +281,15 @@ def test_line_points_match_a_scan_of_the_line(p, d, mode, seed):
     else:
         through = {"free": (), "b on X": (b,), "a and b on X": (a, b)}[mode]
         X = random_curve_through(p, d, through, seed)
-    got = line_points_on_curve(X, a, b)
-    assert got == scan_line_points(X, a, b)
-    if mode == "line component":
-        assert len(got) == p + 1
+    # a component is a restriction that vanishes identically; at p = 2 a
+    # "free" degree-1 X can be the line itself
+    if not any(_restrict_to_line(X, a.coords, b.coords)):
+        assert len(scan_line_points(X, a, b)) == p + 1
+        with pytest.raises(GeometryError, match="lies on the curve"):
+            line_points_on_curve(X, a, b)
+    else:
+        assert mode != "line component"
+        assert line_points_on_curve(X, a, b) == scan_line_points(X, a, b)
 
 
 def restrict_by_lists(curve, a, b):
@@ -367,21 +447,23 @@ def test_split_line_tries_say_what_they_drew_at_a_large_prime():
         split_line(X, seed=0, avoid=frozenset(pool))
 
 
-@pytest.mark.parametrize("failure", ("no split line", "crossing lines"))
-def test_split_section_exhaustion_counts_each_failure(failure, monkeypatch):
+def test_split_section_exhaustion_says_what_it_tried(monkeypatch):
+    # the first line of each attempt is found, the second never
     X = corpus_curve(10007, 4)
-    if failure == "no split line":
-        def refuse(*args):
-            raise GeometryError("no fully split line found")
+    split = constructions.split_line
 
-        monkeypatch.setattr(constructions, "split_line", refuse)
-        counts = "40 found too few split lines and 0 had"
-    else:
-        monkeypatch.setattr(constructions, "_lines_cross_on_curve", lambda X, lines: True)
-        counts = "0 found too few split lines and 40 had"
-    message = f"no transverse degree-2 section found in 40 attempts: {counts} two lines crossing"
+    def refuse_a_second(X, seed, avoid):
+        if avoid:
+            raise GeometryError("no fully split line found")
+        return split(X, seed, avoid)
+
+    monkeypatch.setattr(constructions, "split_line", refuse_a_second)
+    message = (
+        "no transverse degree-3 section found in 40 attempts: the best drew 1 of its 3 "
+        "split lines off the points of the others; try another seed"
+    )
     with pytest.raises(GeometryError, match=message):
-        split_section(X, 2, seed=0)
+        split_section(X, 3, seed=0)
 
 
 def test_aligned_points_exhaustion_says_what_it_tried(monkeypatch):
@@ -395,7 +477,8 @@ def test_aligned_points_exhaustion_says_what_it_tried(monkeypatch):
     )
     message = (
         f"no line with 3 smooth rational curve points found in 400 tries: {len(drawn)} distinct "
-        f"lines through pairs of its {len(pool)} smooth pool points held at most 2"
+        f"lines through pairs of its {len(pool)} smooth pool points held at most 2, "
+        "not counting 0 that lay on the curve"
     )
     with pytest.raises(GeometryError, match=message):
         aligned_points_on_curve(X, 3, seed=5)
@@ -478,7 +561,7 @@ def test_split_line_table_matches_line_points(p, kind, d, seed):
     for a, b in combinations(pts, 2):
         line = proj_point(*cross(a.coords, b.coords, p), p)
         if line not in expected:
-            on_line = line_points_on_curve(X, a, b)
+            on_line = scan_line_points(X, a, b)
             expected[line] = on_line if len(on_line) == X.degree else None
     table = X.split_lines
     assert table.split == {k: v for k, v in expected.items() if v is not None}
@@ -509,7 +592,7 @@ def test_lines_cross_on_curve_matches_the_resultant(curve, seeds, through):
         crossing = proj_point(*cross(line_coefficients(a), line_coefficients(b), P), P)
         assert intersect_curves(a, b) == (crossing,)
     oracle = any(curve.contains(q) for a, b in combinations(lines, 2) for q in intersect_curves(a, b))
-    assert _lines_cross_on_curve(curve, lines) == oracle
+    assert lines_cross_on_curve(curve, lines) == oracle
     if through:
         assert oracle
 
@@ -517,11 +600,10 @@ def test_lines_cross_on_curve_matches_the_resultant(curve, seeds, through):
 def test_split_line_never_returns_a_component_line_over_f2():
     # X = z * (x^2 + xy + y^2 + z^2) over F_2: the line z = 0 is a component
     # holding exactly 3 = deg(X) rational points, all smooth, so it is in the
-    # split-line table and is drawn; d > p, and only the tangency test
-    # rejects it
+    # split-line table; d > p, so the table is not read, and the drawn
+    # component raises and is skipped
     p = 2
-    conic = plane_curve(p, {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-    X = multiply_curves(plane_curve(p, {(0, 0, 1): 1}), conic)
+    X = f2_cubic("component")
     component = proj_point(0, 0, 1, p)
     assert len(X.split_lines.split[component]) == 3
     assert sum(q.coords[2] == 0 for q in X.smooth_pool) == 3
@@ -537,10 +619,8 @@ def test_split_line_never_returns_a_component_line_over_f2():
     seed=st.integers(0, 10**6),
 )
 def test_split_lines_pass_the_tangency_test(p, kind, d, seed):
-    # the test is skipped for d <= p, where Bezout makes it hold; a line
-    # component of degree p + 1 is where it is kept.  At p = 10007 a drawn
-    # line that is a component lists all its p + 1 points, so none is drawn.
-    assume(p < 10007 or (kind == "random" and 2 <= d <= 4))
+    # by Bezout, as no returned line is a component; for d > p a component
+    # line can hold exactly d = p + 1 points, and is skipped
     X = table_curve(p, kind, d, seed)
     try:
         line, pts = split_line(X, seed)
@@ -549,6 +629,86 @@ def test_split_lines_pass_the_tangency_test(p, kind, d, seed):
     assert len(pts) == X.degree and len(set(pts)) == len(pts)
     assert all(line.contains(q) and X.contains(q) for q in pts)
     assert meets_transversally(X, line, pts)
+
+
+def f2_cubic(kind):
+    """Two cubics over F_2 with a line through all p + 1 = 3 of its points
+    on the curve: z = 0 as a component of z(x^2 + xy + y^2 + z^2), and as
+    a transverse section of xy(x + y) + z^3."""
+    if kind == "component":
+        conic = plane_curve(2, {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+        return multiply_curves(plane_curve(2, {(0, 0, 1): 1}), conic)
+    return plane_curve(2, {(2, 1, 0): 1, (1, 2, 0): 1, (0, 0, 3): 1})
+
+
+proof_curves = st.one_of(
+    st.builds(
+        table_curve,
+        p=st.sampled_from((2, 3, 7, P, 10007)),
+        kind=st.sampled_from(("nodal cubic", "line component", "random")),
+        d=st.integers(min_value=1, max_value=6),
+        seed=st.integers(0, 10**6),
+    ),
+    st.sampled_from(("component", "section")).map(f2_cubic),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(X=proof_curves, s=st.integers(1, 4), seed=st.integers(0, 10**6))
+def test_split_sections_never_cross_on_the_curve(X, s, seed):
+    # split_section's proof: a crossing on X would be a point of an earlier
+    # line, banned when the later one was drawn
+    drawn = []
+    with pytest.MonkeyPatch.context() as patch:
+        split = constructions.split_line
+        patch.setattr(constructions, "split_line", lambda *args: drawn.append(split(*args)) or drawn[-1])
+        try:
+            H, pts = split_section(X, s, seed)
+        except GeometryError:
+            return
+    lines = [line for line, _ in drawn[-s:]]
+    assert len({line_coefficients(line) for line in lines}) == s
+    assert not lines_cross_on_curve(X, lines)
+    product = lines[0]
+    for line in lines[1:]:
+        product = multiply_curves(product, line)
+    assert H == product
+    assert pts == tuple(sorted(q for _, on in drawn[-s:] for q in on))
+    assert len(set(pts)) == s * X.degree and meets_transversally(X, H, pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    X=proof_curves,
+    how=st.sampled_from(("secant", "tangent", "split", "through")),
+    s=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+)
+def test_accepted_sections_meet_transversally(X, how, s, seed):
+    # section_points' proof: with no shared component, deg(X)*deg(H)
+    # distinct meetings exhaust Bezout's total, so each is simple
+    pool = X.smooth_pool
+    assume(len(pool) >= 2)
+    rng = random.Random(seed)
+    a, b = rng.sample(pool, 2)
+    try:
+        if how == "secant":
+            H = line_through(X.p, a, b)
+        elif how == "tangent":
+            H = make_line(gradient_at(X, a), X.p)
+        elif how == "split":
+            H, _ = split_section(X, s, seed)
+        else:
+            through = rng.sample(pool, min(len(pool), (s + 1) * (s + 2) // 2 - 2))
+            H = random_curve_through(X.p, s, tuple(through), seed)
+    except GeometryError:
+        return
+    assume(H.degree == 1 or X.degree * H.degree < X.p)
+    try:
+        pts = section_points(X, H).points
+    except GeometryError:
+        return
+    assert len(pts) == X.degree * H.degree and meets_transversally(X, H, pts)
 
 
 def _eye(d):
